@@ -1,0 +1,11 @@
+"""Make the program under ``src/`` importable for the benchmark's tests.
+
+    python3 -m pytest perfbench
+"""
+
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
