@@ -21,8 +21,10 @@ generator can divide it across cores (§4, *State sharding*).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field as dataclass_field
-from typing import Any, Hashable, Iterator
+from array import array
+from typing import Hashable, Iterable, Iterator
+
+import numpy as np
 
 from repro.errors import StateModelError
 
@@ -74,6 +76,11 @@ class Map:
     def keys(self) -> Iterator[Hashable]:
         return iter(list(self._data.keys()))
 
+    def lookup_many(self, keys: Iterable[Hashable]) -> list[int | None]:
+        """The value of each key, ``None`` on a miss (batched :meth:`get`)."""
+        data = self._data
+        return [data.get(k) for k in keys]
+
 
 class Vector:
     """A fixed-size array of records indexed by small integers.
@@ -81,18 +88,19 @@ class Vector:
     Records are plain ``dict``s whose layout is declared by the owning NF
     (see :class:`repro.nf.api.StateDecl`); the declared layout is what lets
     the R5 analysis track value provenance through writes and reads.
+
+    Only written rows are stored; an unwritten row reads as the initial
+    template, so creating a large vector costs nothing per slot.
     """
 
     def __init__(self, capacity: int, initial: dict[str, int] | None = None):
         if capacity <= 0:
             raise StateModelError(f"vector capacity must be positive: {capacity}")
         self.capacity = capacity
-        #: Pristine record layout; :meth:`reset` restores a slot to it when
-        #: the elastic migrator vacates a row on the donor core.
+        #: Pristine record layout; unwritten rows read as it, and
+        #: :meth:`reset` restores a row to it.
         self._template: dict[str, int] = dict(initial or {})
-        self._slots: list[dict[str, int]] = [
-            dict(self._template) for _ in range(capacity)
-        ]
+        self._rows: dict[int, dict[str, int]] = {}
         #: bumped on every slot overwrite (compiled-memo validity guard).
         self.version = 0
 
@@ -109,11 +117,11 @@ class Vector:
 
     def borrow(self, index: int) -> dict[str, int]:
         """Read the record at ``index`` (a copy; write back with ``put``)."""
-        return dict(self._slots[self._check(index)])
+        return dict(self._rows.get(self._check(index), self._template))
 
     def put(self, index: int, record: dict[str, int]) -> None:
         """Overwrite the record at ``index``."""
-        self._slots[self._check(index)] = dict(record)
+        self._rows[self._check(index)] = dict(record)
         self.version += 1
 
     def reset(self, index: int) -> None:
@@ -123,14 +131,13 @@ class Vector:
         receiving core's shard, the donor's slot goes back to its pristine
         state so a later (re)allocation of that index starts clean.
         """
-        self._slots[self._check(index)] = dict(self._template)
+        self._rows.pop(self._check(index), None)
         self.version += 1
 
-
-@dataclass
-class _ChainEntry:
-    allocated: bool = False
-    last_touched: float = 0.0
+    def rows(self, cells: Iterable[int]) -> list[dict[str, int]]:
+        """The records at in-range ``cells``, uncopied: read, never mutate."""
+        rows, template = self._rows, self._template
+        return [rows.get(c, template) for c in cells]
 
 
 class DChain:
@@ -141,65 +148,100 @@ class DChain:
     :meth:`expire` consults to free stale indices.  This is the structure
     whose aging data the lock-based code generator replicates per core
     (§4, *Lock-based rejuvenation*).
+
+    Indices are handed out lowest-first and freed ones are reused
+    last-in-first-out.  Only indices below the high-water mark (the
+    number ever handed out) have been allocated, so the per-index flag
+    and timestamp arrays grow with it instead of being sized to
+    ``capacity`` up front.
     """
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise StateModelError(f"dchain capacity must be positive: {capacity}")
         self.capacity = capacity
-        self._entries = [_ChainEntry() for _ in range(capacity)]
-        self._free: list[int] = list(range(capacity - 1, -1, -1))
+        self._allocated = bytearray()
+        self._touched = array("d")
+        #: Freed indices below the high-water mark ``len(self._allocated)``.
+        self._free: list[int] = []
         #: bumped when the allocated set changes (not on rejuvenation);
         #: the compiled-memo validity guard for flag/frozen-alloc reads.
         self.alloc_version = 0
 
     def allocated_count(self) -> int:
-        return self.capacity - len(self._free)
+        return len(self._allocated) - len(self._free)
 
     def allocate(self, now: float) -> tuple[bool, int]:
         """Allocate a fresh index; ``(False, 0)`` when exhausted."""
-        if not self._free:
+        if self._free:
+            index = self._free.pop()
+            self._allocated[index] = 1
+            self._touched[index] = now
+        elif len(self._allocated) < self.capacity:
+            index = len(self._allocated)
+            self._allocated.append(1)
+            self._touched.append(now)
+        else:
             return False, 0
-        index = self._free.pop()
-        entry = self._entries[index]
-        entry.allocated = True
-        entry.last_touched = now
         self.alloc_version += 1
         return True, index
 
     def is_allocated(self, index: int) -> bool:
-        if not 0 <= index < self.capacity:
-            return False
-        return self._entries[index].allocated
+        return 0 <= index < len(self._allocated) and self._allocated[index] == 1
 
     def rejuvenate(self, index: int, now: float) -> bool:
         """Refresh the timestamp of an allocated index."""
         if not self.is_allocated(index):
             return False
-        self._entries[index].last_touched = now
+        self._touched[index] = now
         return True
 
     def last_touched(self, index: int) -> float:
-        return self._entries[index].last_touched
+        if not 0 <= index < self.capacity:
+            raise IndexError(f"dchain index {index} out of range")
+        return self._touched[index] if index < len(self._touched) else 0.0
 
     def free_index(self, index: int) -> bool:
         if not self.is_allocated(index):
             return False
-        self._entries[index].allocated = False
+        self._allocated[index] = 0
         self._free.append(index)
         self.alloc_version += 1
         return True
 
     def expire(self, threshold: float) -> list[int]:
-        """Free every index last touched strictly before ``threshold``."""
+        """Free every index last touched strictly before ``threshold``.
+
+        Returns the freed indices in ascending order.
+        """
+        allocated, touched = self._allocated, self._touched
         expired = [
             i
-            for i, entry in enumerate(self._entries)
-            if entry.allocated and entry.last_touched < threshold
+            for i in range(len(allocated))
+            if allocated[i] and touched[i] < threshold
         ]
         for index in expired:
             self.free_index(index)
         return expired
+
+    def allocated_mask(self, cells: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`is_allocated` over an int array of cells."""
+        cells = np.asarray(cells, dtype=np.int64)
+        flags = np.frombuffer(self._allocated, dtype=np.uint8)
+        known = (cells >= 0) & (cells < flags.size)
+        mask = np.zeros(cells.shape, dtype=bool)
+        mask[known] = flags[cells[known]] == 1
+        return mask
+
+    def touch_many(self, cells: Iterable[int], times: Iterable[float]) -> None:
+        """Store last-touched times for allocated ``cells`` in bulk.
+
+        The compiled dataplane's deferred rejuvenation: the caller has
+        already checked every cell is allocated.
+        """
+        touched = self._touched
+        for c, t in zip(cells, times):
+            touched[c] = t
 
 
 class Sketch:

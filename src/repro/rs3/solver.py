@@ -27,7 +27,7 @@ from repro import obs
 from repro.errors import RssUnsatisfiableError
 from repro.rs3.fields import FieldSetOption, NicModel, RssField
 from repro.rs3.indirection import IndirectionTable
-from repro.rs3.toeplitz import toeplitz_hash
+from repro.rs3.toeplitz import toeplitz_hash, toeplitz_hash_batch
 from repro.solver import gf2
 
 __all__ = ["CancelField", "CancelBits", "MapFields", "KeySearchStats", "RssKeySolver"]
@@ -222,6 +222,36 @@ class RssKeySolver:
         window = int.from_bytes(key, "big") >> (self.key_bits - used_bits)
         return window != 0
 
+    def _sample_inputs(
+        self,
+        option: FieldSetOption,
+        active: list[RssField],
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """``quality_samples`` random hash inputs as a ``(samples, bytes)``
+        matrix: ``active`` fields random, every other field zero.
+
+        ``rng.bytes(n)`` is the first ``n`` little-endian bytes of
+        ``ceil(n / 4)`` uint32 draws, so one ``(samples, words)`` uint32
+        draw consumes exactly the stream of per-sample, per-field
+        ``rng.bytes`` calls, and row *i* equals what those calls built for
+        sample *i*.
+        """
+        n_words = [-(-(fld.width // 8) // 4) for fld in active]
+        words = rng.integers(
+            0, 2**32, size=(self.quality_samples, sum(n_words)), dtype=np.uint32
+        )
+        raw = words.astype("<u4").view(np.uint8)
+        data = np.zeros((self.quality_samples, option.input_bytes), np.uint8)
+        offsets = option.offsets()
+        column = 0
+        for fld, n in zip(active, n_words):
+            start = offsets[fld] // 8
+            width_bytes = fld.width // 8
+            data[:, start : start + width_bytes] = raw[:, column : column + width_bytes]
+            column += 4 * n
+        return data
+
     def _distribution_ok(
         self,
         keys: dict[int, bytes],
@@ -234,7 +264,8 @@ class RssKeySolver:
         example: only the first bit set yields two possible hashes).  We
         sample random hash inputs, vary only non-cancelled bits, and
         require the most-loaded of ``n_queues`` queues to stay under
-        ``quality_factor / n_queues`` of the traffic.
+        ``quality_factor / n_queues`` of the traffic.  Each port's samples
+        are hashed and steered as one batch.
         """
         table = IndirectionTable(self.n_queues, size=self.nic.reta_size)
         for port in self.ports:
@@ -247,15 +278,9 @@ class RssKeySolver:
             active = [f for f in option.fields if f not in cancelled]
             if not active:
                 continue  # everything cancelled: nothing to balance
-            counts = np.zeros(self.n_queues, dtype=np.int64)
-            for _ in range(self.quality_samples):
-                data = bytearray(option.input_bytes)
-                for fld in active:
-                    start = option.offsets()[fld] // 8
-                    width_bytes = fld.width // 8
-                    data[start : start + width_bytes] = rng.bytes(width_bytes)
-                queue = table.lookup(toeplitz_hash(keys[port], bytes(data)))
-                counts[queue] += 1
+            data = self._sample_inputs(option, active, rng)
+            queues = table.steer_batch(toeplitz_hash_batch(keys[port], data))
+            counts = np.bincount(queues, minlength=self.n_queues)
             max_share = counts.max() / max(1, counts.sum())
             if max_share > self.quality_factor / self.n_queues:
                 return False

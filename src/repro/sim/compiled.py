@@ -1218,7 +1218,6 @@ class CompiledDispatcher:
 
     def _exec_step(self, step, env, cache, g, store):
         if isinstance(step, _MapGet):
-            data = store[step.obj]._data
             arrs = [
                 _ivals(eval_expr(k, env, cache), g).tolist()
                 for k in step.keys
@@ -1227,7 +1226,7 @@ class CompiledDispatcher:
                 [(v,) for v in arrs[0]] if len(arrs) == 1
                 else list(zip(*arrs))
             )
-            vals = [data.get(k) for k in keys]
+            vals = store[step.obj].lookup_many(keys)
             found = np.fromiter((v is not None for v in vals), bool, count=g)
             value = np.fromiter(
                 (0 if v is None else v for v in vals), np.int64, count=g
@@ -1242,9 +1241,8 @@ class CompiledDispatcher:
             has_oob = bool(oob.any())
             safe = np.where(oob, 0, cells) if has_oob else cells
             uniq, inv = np.unique(safe, return_inverse=True)
-            slots = vec._slots
             try:
-                recs = [slots[int(u)] for u in uniq]
+                recs = vec.rows(uniq.tolist())
                 for fname, sym in step.fields:
                     vals = [r[fname] for r in recs]
                     env[sym] = self._value_column(vals, inv)
@@ -1254,13 +1252,7 @@ class CompiledDispatcher:
         if isinstance(step, (_IsAlloc, _Rejuv)):
             chain = store[step.obj]
             cells = _ivals(eval_expr(step.index, env, cache), g)
-            ents = chain._entries
-            cap = chain.capacity
-            flags = np.fromiter(
-                (0 <= c < cap and ents[c].allocated for c in cells.tolist()),
-                bool,
-                count=g,
-            )
+            flags = chain.allocated_mask(cells)
             if isinstance(step, _IsAlloc):
                 env[step.res] = Column(flags, 1.0)
             return {"cells": cells, "flags": flags, "oob": None}
@@ -1630,9 +1622,7 @@ class CompiledDispatcher:
             uniq, first_rev = np.unique(cells_s[::-1], return_index=True)
             last_pos = cells_s.size - 1 - first_rev
             vals = ts[lanes[order[last_pos]]]
-            ents = store[obj]._entries
-            for c, t in zip(uniq.tolist(), vals.tolist()):
-                ents[c].last_touched = t
+            store[obj].touch_many(uniq.tolist(), vals.tolist())
         self._ts_pending = {}
 
     # -------------------------------------------------------------- #

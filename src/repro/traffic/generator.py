@@ -27,10 +27,6 @@ INTERNET_MIX: tuple[tuple[int, float], ...] = (
 )
 
 
-def _avg_size(mix: tuple[tuple[int, float], ...]) -> float:
-    return sum(size * weight for size, weight in mix)
-
-
 @dataclass
 class TrafficGenerator:
     """Deterministic, seedable traffic synthesis."""

@@ -1,5 +1,6 @@
 """The Table 1 data structures: map, vector, dchain, sketch."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,6 +133,204 @@ class TestDChain:
                 for index in chain.expire(now - 10):
                     live.discard(index)
         assert chain.allocated_count() == len(live)
+
+
+class _EagerChain:
+    """Reference allocator: one slot per index, built up front.
+
+    The straightforward dchain semantics the lazy :class:`DChain` must
+    reproduce exactly: a free stack seeded so index 0 pops first, LIFO
+    reuse, and an ascending full-capacity scan on expiry.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.allocated = [False] * capacity
+        self.touched = [0.0] * capacity
+        self.free = list(range(capacity - 1, -1, -1))
+
+    def allocate(self, now: float) -> tuple[bool, int]:
+        if not self.free:
+            return False, 0
+        index = self.free.pop()
+        self.allocated[index] = True
+        self.touched[index] = now
+        return True, index
+
+    def is_allocated(self, index: int) -> bool:
+        return 0 <= index < self.capacity and self.allocated[index]
+
+    def rejuvenate(self, index: int, now: float) -> bool:
+        if not self.is_allocated(index):
+            return False
+        self.touched[index] = now
+        return True
+
+    def free_index(self, index: int) -> bool:
+        if not self.is_allocated(index):
+            return False
+        self.allocated[index] = False
+        self.free.append(index)
+        return True
+
+    def expire(self, threshold: float) -> list[int]:
+        expired = [
+            i for i in range(self.capacity)
+            if self.allocated[i] and self.touched[i] < threshold
+        ]
+        for index in expired:
+            self.free_index(index)
+        return expired
+
+
+_CHAIN_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["alloc", "free", "rejuv", "expire"]),
+        st.integers(-2, 9),
+        st.floats(0.0, 4.0),
+    ),
+    max_size=120,
+)
+
+
+class TestDChainMatchesEagerModel:
+    @given(_CHAIN_OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_random_sequences(self, ops):
+        capacity = 8
+        chain, model = DChain(capacity), _EagerChain(capacity)
+        now = 0.0
+        for op, index, dt in ops:
+            now += dt
+            if op == "alloc":
+                assert chain.allocate(now) == model.allocate(now)
+            elif op == "free":
+                assert chain.free_index(index) == model.free_index(index)
+            elif op == "rejuv":
+                assert chain.rejuvenate(index, now) == model.rejuvenate(index, now)
+            else:
+                expired = chain.expire(now - 3.0)
+                assert expired == model.expire(now - 3.0)
+                assert expired == sorted(expired)
+            assert chain.allocated_count() == capacity - len(model.free)
+            for i in range(-2, capacity + 2):
+                assert chain.is_allocated(i) == model.is_allocated(i)
+            for i in range(capacity):
+                if model.allocated[i]:
+                    assert chain.last_touched(i) == model.touched[i]
+            cells = np.arange(-2, capacity + 2)
+            assert chain.allocated_mask(cells).tolist() == [
+                model.is_allocated(int(c)) for c in cells
+            ]
+
+    def test_lifo_reuse(self):
+        chain = DChain(8)
+        for _ in range(5):
+            chain.allocate(0.0)
+        chain.free_index(1)
+        chain.free_index(3)
+        assert [chain.allocate(1.0)[1] for _ in range(4)] == [3, 1, 5, 6]
+
+    def test_exhaustion_at_capacity_after_reuse(self):
+        chain = DChain(3)
+        for _ in range(3):
+            assert chain.allocate(0.0)[0]
+        assert chain.allocate(0.0) == (False, 0)
+        chain.free_index(0)
+        assert chain.allocate(1.0) == (True, 0)
+        assert chain.allocate(1.0) == (False, 0)
+        assert chain.allocated_count() == 3
+
+    def test_out_of_range_is_not_allocated(self):
+        chain = DChain(4)
+        chain.allocate(0.0)
+        for index in (-1, 4, 10**9):
+            assert not chain.is_allocated(index)
+            assert not chain.rejuvenate(index, 1.0)
+            assert not chain.free_index(index)
+
+    def test_touch_many_sets_last_touched(self):
+        chain = DChain(4)
+        for _ in range(3):
+            chain.allocate(0.0)
+        chain.touch_many([2, 0], [7.0, 5.0])
+        assert [chain.last_touched(i) for i in range(3)] == [5.0, 0.0, 7.0]
+        assert chain.expire(6.0) == [0, 1]
+
+
+class TestVectorLazyRows:
+    def test_unwritten_row_borrows_template_copy(self):
+        v = Vector(1000, initial={"x": 3, "y": 4})
+        row = v.borrow(999)
+        assert row == {"x": 3, "y": 4}
+        row["x"] = 99
+        assert v.borrow(999) == {"x": 3, "y": 4}
+        assert v.borrow(0) == {"x": 3, "y": 4}
+
+    def test_put_copies_record(self):
+        v = Vector(4, initial={"x": 0})
+        record = {"x": 1}
+        v.put(2, record)
+        record["x"] = 2
+        assert v.borrow(2) == {"x": 1}
+        v.borrow(2)["x"] = 5
+        assert v.borrow(2) == {"x": 1}
+        assert v.borrow(1) == {"x": 0}
+
+    def test_reset_after_put_restores_template_and_bumps_version(self):
+        v = Vector(4, initial={"x": 0})
+        v.put(1, {"x": 9})
+        before = v.version
+        v.reset(1)
+        assert v.borrow(1) == {"x": 0}
+        assert v.version == before + 1
+        v.reset(2)  # never written: still a mutation for memo validity
+        assert v.version == before + 2
+        assert v.borrow(2) == {"x": 0}
+
+    def test_rows_reads_written_and_template_rows(self):
+        v = Vector(4, initial={"x": 0})
+        v.put(3, {"x": 7})
+        assert v.rows([3, 0, 3]) == [{"x": 7}, {"x": 0}, {"x": 7}]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["put", "reset", "borrow"]),
+                st.integers(0, 5),
+                st.integers(-5, 5),
+            ),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_eager_rows(self, ops):
+        template = {"x": 0, "y": 1}
+        v = Vector(6, initial=template)
+        model = [dict(template) for _ in range(6)]
+        version = 0
+        for op, index, value in ops:
+            if op == "put":
+                v.put(index, {"x": value, "y": -value})
+                model[index] = {"x": value, "y": -value}
+                version += 1
+            elif op == "reset":
+                v.reset(index)
+                model[index] = dict(template)
+                version += 1
+            else:
+                v.borrow(index)["x"] = 1234
+            assert v.version == version
+        assert [v.borrow(i) for i in range(6)] == model
+        assert template == {"x": 0, "y": 1}
+
+
+class TestMapLookupMany:
+    def test_hits_and_misses(self):
+        m = Map(4)
+        m.put(("a",), 1)
+        m.put(("b",), 0)
+        assert m.lookup_many([("b",), ("z",), ("a",)]) == [0, None, 1]
 
 
 class TestSketch:
