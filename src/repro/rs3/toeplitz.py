@@ -36,6 +36,7 @@ __all__ = [
     "key_window_table",
     "hash_input",
     "hash_input_matrix",
+    "hash_input_rows",
     "hash_packet",
     "hash_packets_batch",
     "key_bit",
@@ -182,14 +183,31 @@ def hash_input_matrix(
             raise KeyError(f"unknown packet field {name!r}")
         # attrgetter + map keeps the per-packet extraction in C; this is
         # the bulk-column equivalent of Packet.field(name).
-        values = np.fromiter(
-            map(operator.attrgetter(name), packets), dtype=np.int64, count=n
+        columns.append(
+            np.fromiter(
+                map(operator.attrgetter(name), packets), dtype=np.int64,
+                count=n,
+            )
         )
-        dtype = ">u4" if fld.width == 32 else ">u2"
-        columns.append(values.astype(dtype).view(np.uint8).reshape(n, -1))
-    if not columns:
+    return hash_input_rows(columns, option, n)
+
+
+def hash_input_rows(
+    columns: Sequence[np.ndarray], option: FieldSetOption, n: int
+) -> np.ndarray:
+    """The ``(n, bytes)`` hash-input matrix of pre-extracted field columns.
+
+    ``columns[i]`` holds field ``option.fields[i]`` of every packet (as
+    int64); each value is truncated to the field's width, big-endian.
+    """
+    rows = [
+        col.astype(">u4" if fld.width == 32 else ">u2").view(np.uint8)
+        .reshape(n, -1)
+        for col, fld in zip(columns, option.fields)
+    ]
+    if not rows:
         return np.zeros((n, 0), dtype=np.uint8)
-    return np.concatenate(columns, axis=1)
+    return np.concatenate(rows, axis=1)
 
 
 def hash_packet(key: bytes, pkt: Packet, option: FieldSetOption) -> int:

@@ -32,18 +32,21 @@ sweeps are hoisted to chunk boundaries: the exact positions where
 gate is a pure function of the trace timestamps) and chunks are split
 there, so no sweep ever mutates state mid-chunk.
 
-Classifications are memoized per (shard, port, flow) — keyed on the
-packet fields a port's programs consume and guarded by state version
-counters — and the whole memo is flushed whenever
-``rss.steering_generation`` bumps, because re-steering moves flows
-between shards and a cached classification is only valid against the
-shard whose state it was computed from.
+Classifications are memoized per (shard, port, flow).  Every packet
+gets a *persistent flow id*: the packet fields a port's programs consume
+are packed into integer words and looked up in a per-port id table that
+outlives the call, so a flow keeps its id across traces.  Each (shard,
+port) memo epoch maps flow ids to dense slots and is guarded by state
+version counters; looking a chunk up is then an array gather.  Ids and
+epochs are flushed whenever ``rss.steering_generation`` bumps, because
+re-steering moves flows between shards and a cached classification is
+only valid against the shard whose state it was computed from.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import starmap
+from itertools import repeat, starmap
 
 import numpy as np
 
@@ -52,6 +55,7 @@ from repro.core.codegen import ParallelNF, Strategy
 from repro.nf.api import ActionKind
 from repro.nf.packet import PACKET_FIELDS
 from repro.nf.runtime import OpRecord, PacketResult
+from repro.sim.batch import PacketBatch, pack_words, unique_words
 from repro.symbex import expr as E
 from repro.symbex.engine import explore_nf
 from repro.symbex.lower import (
@@ -83,7 +87,8 @@ LOWERED_OPS = (
     "dchain_rejuvenate",
     "vector_put",
 )
-#: Per-(shard, port) memo entries before the bucket is dropped wholesale.
+#: Flow ids per port before the port's id table and memo epochs are
+#: dropped wholesale (bounds the memo under endless flow turnover).
 _MEMO_MAX = 65536
 #: Hazard-fixpoint iteration cap; on overrun the whole chunk is demoted.
 _FIXPOINT_MAX = 64
@@ -600,92 +605,112 @@ class _Group:
         self.from_memo = False
 
 
-class _PortPlan:
-    """Run-level flow table of one port: every packet of the port mapped
-    to a dense *uid* (unique field-row id) in one vectorized pass, so
-    per-chunk classification is a gather instead of a hash probe."""
-
-    __slots__ = ("uid", "row_bytes")
-
-    def __init__(self, uid, row_bytes):
-        self.uid = uid
-        self.row_bytes = row_bytes
-
-
-class _UidGather:
-    """Lazy per-lane view over a per-uid column (built only if indexed:
+class _SlotGather:
+    """Lazy per-lane view over a per-slot column (built only if indexed:
     map-key demotion checks and vector-store scatters touch a handful of
     lanes, so materializing the whole group column would be waste)."""
 
-    __slots__ = ("by_uid", "uids")
+    __slots__ = ("by_slot", "slots")
 
-    def __init__(self, by_uid, uids):
-        self.by_uid = by_uid
-        self.uids = uids
+    def __init__(self, by_slot, slots):
+        self.by_slot = by_slot
+        self.slots = slots
 
     def __getitem__(self, p):
-        return self.by_uid[self.uids[p]]
+        return self.by_slot[self.slots[p]]
+
+
+#: Initial per-slot capacity of a memo epoch (doubles as it fills).
+_EPOCH_CAP = 64
 
 
 class _Epoch:
-    """Uid-indexed classification cache of one (shard, port) at one
-    state-version vector.
+    """Classification memo of one (shard, port) at one state-version
+    vector; it lives across calls for as long as those versions hold.
 
-    The persistent memo bucket is keyed by row *bytes* so it survives
-    across runs; an epoch re-indexes it by this run's uids so the hot
-    path never hashes rows.  ``assign[uid] >= 0`` means the uid's det is
-    loaded: per-step scalar columns live in ``arts`` and the finished
-    (shared) :class:`PacketResult` in ``results``.
+    ``slot[fid]`` is the dense slot of persistent flow id ``fid`` (-1:
+    not classified yet).  Per slot, ``pidx`` holds the program index,
+    ``arts[pidx]`` the per-step scalar columns and ``results`` the
+    finished :class:`PacketResult`, shared by every packet of the flow
+    in this and later calls.  Slot columns grow by doubling.
     """
 
-    __slots__ = ("pp", "versions", "U", "bucket", "assign", "arts", "results")
+    __slots__ = ("pp", "versions", "slot", "n", "pidx", "arts", "results")
 
-    def __init__(self, pp, versions, n_uids, bucket):
+    def __init__(self, pp, versions, n_fids):
         self.pp = pp
         self.versions = versions
-        self.U = n_uids
-        self.bucket = bucket
-        self.assign = np.full(n_uids, -1, np.int64)
+        self.slot = np.full(n_fids, -1, np.int32)
+        self.n = 0
+        self.pidx = np.zeros(_EPOCH_CAP, np.int64)
         self.arts = [None] * len(pp.programs)
-        self.results = [None] * n_uids
+        self.results = [None] * _EPOCH_CAP
 
-    def insert(self, u, det):
-        pidx, step_scalars, action = det
-        prog = self.pp.programs[pidx]
-        arts = self.arts[pidx]
-        if arts is None:
-            arts = []
-            for step in prog.steps:
-                if isinstance(step, _MapGet):
-                    arts.append(([None] * self.U,))
-                elif isinstance(step, _VecPut):
-                    arts.append(
-                        (np.zeros(self.U, np.int64), [None] * self.U)
-                    )
-                elif isinstance(step, _VecBorrow):
-                    arts.append((np.zeros(self.U, np.int64),))
-                else:  # _IsAlloc / _Rejuv
-                    arts.append(
-                        (np.zeros(self.U, np.int64),
-                         np.zeros(self.U, dtype=bool))
-                    )
-            self.arts[pidx] = arts
-        for step, cols, sc in zip(prog.steps, arts, step_scalars):
+    def cover(self, n_fids):
+        """Grow ``slot`` to name every flow id issued so far."""
+        old = self.slot.size
+        if n_fids > old:
+            slot = np.full(max(n_fids, 2 * old), -1, np.int32)
+            slot[:old] = self.slot
+            self.slot = slot
+
+    def _columns(self, pidx, cap):
+        cols = []
+        for step in self.pp.programs[pidx].steps:
             if isinstance(step, _MapGet):
-                cols[0][u] = sc
+                cols.append([[None] * cap])
+            elif isinstance(step, _VecPut):
+                cols.append([np.zeros(cap, np.int64), [None] * cap])
             elif isinstance(step, _VecBorrow):
-                cols[0][u] = sc[0]
-            else:  # _VecPut / _IsAlloc / _Rejuv
-                cols[0][u] = sc[0]
-                cols[1][u] = sc[1]
-        if prog.const_result is not None:
-            self.results[u] = prog.const_result
-        else:
-            port, mods = action
-            self.results[u] = PacketResult(
-                prog.kind, port, dict(mods), prog.ops_list, False
+                cols.append([np.zeros(cap, np.int64)])
+            else:  # _IsAlloc / _Rejuv
+                cols.append(
+                    [np.zeros(cap, np.int64), np.zeros(cap, dtype=bool)]
+                )
+        return cols
+
+    def add(self, fids, pidx):
+        """Give unclassified flows ``fids`` of program ``pidx`` the next
+        dense slots; returns ``(slots, step columns of pidx)``."""
+        start = self.n
+        end = start + fids.size
+        cap = self.pidx.size
+        if end > cap:
+            grown = max(end, 2 * cap)
+            self.pidx = np.concatenate(
+                [self.pidx, np.zeros(grown - cap, np.int64)]
             )
-        self.assign[u] = pidx
+            self.results.extend([None] * (grown - cap))
+            for cols in self.arts:
+                for step_cols in cols or ():
+                    for i, col in enumerate(step_cols):
+                        if isinstance(col, list):
+                            col.extend([None] * (grown - cap))
+                        else:
+                            step_cols[i] = np.concatenate(
+                                [col, np.zeros(grown - cap, col.dtype)]
+                            )
+            cap = grown
+        if self.arts[pidx] is None:
+            self.arts[pidx] = self._columns(pidx, cap)
+        slots = np.arange(start, end)
+        self.slot[fids] = slots
+        self.pidx[start:end] = pidx
+        self.n = end
+        return slots, self.arts[pidx]
+
+
+def _first_due(tsub, last, j):
+    """First ``k >= j`` with ``tsub[k] - last >= 1.0`` (``len(tsub)`` if
+    none), for sorted ``tsub``: a binary search on ``last + 1.0``, then
+    corrected with the exact gate expression against float rounding."""
+    m = tsub.size
+    k = max(int(np.searchsorted(tsub, last + 1.0, side="left")), j)
+    while k > j and tsub[k - 1] - last >= 1.0:
+        k -= 1
+    while k < m and tsub[k] - last < 1.0:
+        k += 1
+    return k
 
 
 def _ivals(col, g):
@@ -728,7 +753,6 @@ class CompiledDispatcher:
         self.fault = None
         self._fault_fired = False
         self._generation = parallel.rss.steering_generation
-        self._memo = {}
         self.memo_enabled = True
         self.total_paths = total_paths
         self.supported_paths = sum(
@@ -748,13 +772,15 @@ class CompiledDispatcher:
         self._sn = parallel.strategy is Strategy.SHARED_NOTHING
         self._ctxs = [core.ctx for core in parallel.cores]
         self._bucket_ids = None
-        self._trace = None
-        self._trace_ref = None
-        self._pkts = None
-        self._fields = {}
+        #: The current (or last) call's PacketBatch, kept for replays.
+        self._batch = None
         self._triggers = {}
         self._ts_pending = {}
+        #: Per port: packed field row -> persistent flow id.
+        self._fids = {}
+        #: Per port: flow id of every packet of the current batch.
         self._plans = {}
+        #: Per (shard, port): the memo epoch at its state versions.
         self._epochs = {}
 
     # -------------------------------------------------------------- #
@@ -765,7 +791,8 @@ class CompiledDispatcher:
         if gen != self._generation:
             # Re-steering moves flows between shards: every cached
             # classification was computed against the wrong shard.
-            self._memo.clear()
+            self._fids.clear()
+            self._plans.clear()
             self._epochs.clear()
             self._generation = gen
             self.memo_invalidations += 1
@@ -778,33 +805,25 @@ class CompiledDispatcher:
     # -------------------------------------------------------------- #
     # Run setup
     # -------------------------------------------------------------- #
-    def start_run(self, trace, core_ids, window_packets, bucket_ids=None):
-        n = len(trace)
-        self._trace = trace
+    def batch_for(self, trace):
+        """The call's :class:`PacketBatch`: the last one if ``trace`` is
+        the same, unchanged list (a replay keeps its columns and flow-id
+        plans), else a fresh snapshot."""
+        batch = self._batch
+        if batch is not None and batch.matches(trace):
+            return batch
+        return PacketBatch(trace)
+
+    def start_run(self, batch, core_ids, window_packets, bucket_ids=None):
+        n = batch.n
+        if batch is not self._batch:
+            self._batch = batch
+            self._plans = {}
         #: Per-packet indirection-table slots (elastic runs only): the
         #: fallback path installs them as ``ctx.current_bucket`` so
         #: establishment packets bucket-tag the state they create, and
         #: kernel vector scatters re-tag the rows they overwrite.
         self._bucket_ids = bucket_ids
-        if trace is not self._trace_ref:
-            # Packets are immutable, so the column/uid tables derived
-            # from a trace stay valid for as long as the *same* trace
-            # object is replayed (epochs additionally self-check their
-            # state versions).  They're retained across runs for warm
-            # replays and rebuilt only when a new trace shows up.
-            self._trace_ref = trace
-            self._pkts = [pkt for _, pkt in trace]
-            self._ports_arr = np.fromiter(
-                map(operator.itemgetter(0), trace), np.int64, count=n
-            )
-            self._ts = np.fromiter(
-                map(operator.attrgetter("timestamp"), self._pkts),
-                np.float64,
-                count=n,
-            )
-            self._fields = {}
-            self._plans = {}
-            self._epochs = {}
         self._core_ids = core_ids
         self.path_ids = np.full(n, -1, dtype=np.int32)
         self._check_generation()
@@ -817,20 +836,11 @@ class CompiledDispatcher:
         return sorted(edges)
 
     def end_run(self):
-        self._trace = None
         self._triggers = {}
         self._bucket_ids = None
 
     def _field_col(self, name):
-        col = self._fields.get(name)
-        if col is None:
-            col = np.fromiter(
-                map(operator.attrgetter(name[4:]), self._pkts),
-                np.int64,
-                count=len(self._pkts),
-            )
-            self._fields[name] = col
-        return col
+        return self._batch.column(name[4:])
 
     def _plan_triggers(self):
         """Exact positions where ``expire_flows`` fires, per context.
@@ -845,33 +855,29 @@ class CompiledDispatcher:
             return triggers
         eports = np.fromiter(self.expire_ports, np.int64,
                              count=len(self.expire_ports))
-        pmask = np.isin(self._ports_arr, eports)
+        pmask = np.isin(self._batch.ports, eports)
         for ci, ctx in enumerate(self._ctxs):
             idxs = np.flatnonzero(pmask & (self._core_ids == ci))
             m = idxs.size
             if not m:
                 continue
-            tsub = self._ts[idxs]
+            tsub = self._batch.timestamps[idxs]
             sorted_ts = bool(m < 2 or np.all(np.diff(tsub) >= 0))
             last = ctx._last_expiry
             j = 0
             while j < m:
-                if tsub[j] - last >= 1.0:
-                    triggers[int(idxs[j])] = ci
-                    last = float(tsub[j])
-                    if sorted_ts:
-                        k = int(np.searchsorted(tsub, last + 1.0, side="left"))
-                        if k <= j:
-                            k = j + 1
-                        while k > j + 1 and tsub[k - 1] - last >= 1.0:
-                            k -= 1
-                        while k < m and tsub[k] - last < 1.0:
-                            k += 1
-                        j = k
-                    else:
-                        j += 1
-                else:
+                if sorted_ts:
+                    # The gate is monotone over sorted timestamps: jump
+                    # straight to the next packet that passes it.
+                    j = _first_due(tsub, last, j)
+                    if j == m:
+                        break
+                elif tsub[j] - last < 1.0:
                     j += 1
+                    continue
+                triggers[int(idxs[j])] = ci
+                last = float(tsub[j])
+                j += 1
         return triggers
 
     # -------------------------------------------------------------- #
@@ -884,8 +890,8 @@ class CompiledDispatcher:
         ci = self._triggers.get(start)
         if ci is not None:
             ctx = self._ctxs[ci]
-            port = int(self._ports_arr[start])
-            ctx._now = float(self._ts[start])
+            port = int(self._batch.ports[start])
+            ctx._now = float(self._batch.timestamps[start])
             ctx._trace_on = ctx._tracer.enabled()
             ctx._ops = []
             for map_name, chain_name in self.expire_ports[port]:
@@ -908,7 +914,7 @@ class CompiledDispatcher:
             )
 
     def _run_domain(self, lanes, results, cid):
-        ports_l = self._ports_arr[lanes]
+        ports_l = self._batch.ports[lanes]
         store = self._store_for(cid)
         groups = []
         board = _DirtBoard()
@@ -946,7 +952,7 @@ class CompiledDispatcher:
     def _run_fallback(self, f_lanes, results, cid):
         if not f_lanes.size:
             return
-        trace = self._trace
+        trace = self._batch.items
         idx = f_lanes.tolist()
         buckets = self._bucket_ids
         if cid is not None:
@@ -975,47 +981,73 @@ class CompiledDispatcher:
     # -------------------------------------------------------------- #
     def _classify(self, pp, g_lanes, cid, store):
         group = _Group(pp, g_lanes)
-        plan = ep = uids = None
+        ep = uids = None
         if self.memo_enabled and pp.memoizable and pp.any_supported:
-            plan = self._plan_for(pp)
-            ep = self._epoch_for(pp, plan, cid, store)
-            uids = plan.uid[g_lanes]
-            assign = ep.assign[uids]
-            if (assign >= 0).all():
-                self._reconstruct(group, ep, uids, assign)
+            uids = self._plan_for(pp)[g_lanes]
+            ep = self._epoch_for(pp, cid, store)
+            slots = ep.slot[uids]
+            if (slots >= 0).all():
+                self._reconstruct(group, ep, slots)
                 self.memo_hits += g_lanes.size
                 group.from_memo = True
                 return group
-            self.memo_misses += int((assign < 0).sum())
+            self.memo_misses += int((slots < 0).sum())
         self._eval_group(group, store)
         if ep is not None:
-            self._memo_insert(group, plan, ep, uids)
+            self._memo_insert(group, ep, uids)
         return group
 
     def _plan_for(self, pp):
-        """Uid-number every packet of one port, once per run."""
-        plan = self._plans.get(pp.port)
-        if plan is None:
-            idx = np.flatnonzero(self._ports_arr == pp.port)
-            if pp.fields:
-                mat = np.ascontiguousarray(
-                    np.stack(
-                        [self._field_col(f)[idx] for f in pp.fields], axis=1
-                    )
-                )
-                rows = mat.view(np.dtype((np.void, mat.shape[1] * 8))).ravel()
-                uniq, inverse = np.unique(rows, return_inverse=True)
-                row_bytes = [u.tobytes() for u in uniq]
-            else:
-                row_bytes = [b""]
-                inverse = np.zeros(idx.size, np.int64)
-            uid = np.full(self._ports_arr.size, -1, np.int64)
-            uid[idx] = inverse
-            plan = _PortPlan(uid, row_bytes)
-            self._plans[pp.port] = plan
-        return plan
+        """Persistent flow id of every packet of one port, once per batch.
 
-    def _epoch_for(self, pp, plan, cid, store):
+        The fields the port's programs consume are packed into integer
+        words at their header widths, deduplicated, and looked up in the
+        port's id table with one C-level probe per unique flow; new flows
+        get the next ids.
+        """
+        uid = self._plans.get(pp.port)
+        if uid is not None:
+            return uid
+        batch = self._batch
+        idx = np.flatnonzero(batch.ports == pp.port)
+        fids = self._fids.get(pp.port)
+        if fids is None or len(fids) > _MEMO_MAX:
+            fids = self._fids[pp.port] = {}
+            for key in [k for k in self._epochs if k[1] == pp.port]:
+                del self._epochs[key]
+        if pp.fields:
+            cols = [self._field_col(name)[idx] for name in pp.fields]
+            widths = [PACKET_FIELDS.get(name[4:], 64) for name in pp.fields]
+            if any(
+                col.size and (col.min() < 0 or int(col.max()) >> width)
+                for col, width in zip(cols, widths)
+            ):
+                # A value overflows its header width: key this call's
+                # flows a whole word per field, and invert the keys so
+                # they never meet the (non-negative) packed ones.
+                keys, _, inverse = unique_words(
+                    pack_words(cols, [64] * len(cols))
+                )
+                keys = list(map(operator.invert, keys))
+            else:
+                keys, _, inverse = unique_words(pack_words(cols, widths))
+        else:
+            keys, inverse = [()], np.zeros(idx.size, np.int64)
+        ids = np.fromiter(
+            map(fids.get, keys, repeat(-1)), np.int64, count=len(keys)
+        )
+        new = np.flatnonzero(ids < 0)
+        if new.size:
+            ids[new] = np.arange(len(fids), len(fids) + new.size)
+            fids.update(
+                zip(map(keys.__getitem__, new.tolist()), ids[new].tolist())
+            )
+        uid = np.full(batch.n, -1, np.int64)
+        uid[idx] = ids[inverse]
+        self._plans[pp.port] = uid
+        return uid
+
+    def _epoch_for(self, pp, cid, store):
         """The (shard, port) epoch for the *current* state versions."""
         versions = tuple(
             store[obj].alloc_version if kind == "chain"
@@ -1023,30 +1055,18 @@ class CompiledDispatcher:
             for obj, kind in pp.read_objs
         )
         key = (cid if cid is not None else -1, pp.port)
+        n_fids = len(self._fids[pp.port])
         ep = self._epochs.get(key)
-        if ep is not None and ep.versions == versions:
-            return ep
-        bucket_entry = self._memo.get(key)
-        if bucket_entry is None or bucket_entry[0] != versions:
-            bucket_entry = [versions, {}]
-            self._memo[key] = bucket_entry
-        bucket = bucket_entry[1]
-        if len(bucket) > _MEMO_MAX:
-            bucket.clear()
-        ep = _Epoch(pp, versions, len(plan.row_bytes), bucket)
-        if bucket:
-            # Re-index the persistent (cross-run) bucket by this run's
-            # uids so chunk classification is a pure array gather.
-            get = bucket.get
-            for u, rb in enumerate(plan.row_bytes):
-                det = get(rb)
-                if det is not None:
-                    ep.insert(u, det)
-        self._epochs[key] = ep
+        if ep is None or ep.versions != versions:
+            ep = _Epoch(pp, versions, n_fids)
+            self._epochs[key] = ep
+        else:
+            ep.cover(n_fids)
         return ep
 
-    def _reconstruct(self, group, ep, uids, assign):
+    def _reconstruct(self, group, ep, slots):
         """Rebuild per-program artifacts by gathering epoch columns."""
+        assign = ep.pidx[slots]
         group.assign = assign
         for pidx, ps in enumerate(group.progs):
             mask = assign == pidx
@@ -1058,67 +1078,81 @@ class CompiledDispatcher:
             for step, cols in zip(ps.prog.steps, ep.arts[pidx]):
                 if isinstance(step, _MapGet):
                     arts.append(
-                        {"keys": _UidGather(cols[0], uids), "oob": None}
+                        {"keys": _SlotGather(cols[0], slots), "oob": None}
                     )
                 elif isinstance(step, _VecPut):
                     arts.append({
-                        "cells": cols[0][uids],
+                        "cells": cols[0][slots],
                         "oob": None,
-                        "stored_rows": _UidGather(cols[1], uids),
+                        "stored_rows": _SlotGather(cols[1], slots),
                     })
                 elif isinstance(step, _VecBorrow):
-                    arts.append({"cells": cols[0][uids], "oob": None})
+                    arts.append({"cells": cols[0][slots], "oob": None})
                 else:  # _IsAlloc / _Rejuv
                     arts.append({
-                        "cells": cols[0][uids],
-                        "flags": cols[1][uids],
+                        "cells": cols[0][slots],
+                        "flags": cols[1][slots],
                         "oob": None,
                     })
-            ps.result_uids = (ep.results, uids)
+            ps.result_uids = (ep.results, slots)
 
-    def _memo_insert(self, group, plan, ep, uids):
-        """Cache classifications for flows that resolved supported-clean."""
+    def _memo_insert(self, group, ep, uids):
+        """Cache classifications for flows that resolved supported-clean.
+
+        Each new flow is recorded from its first lane in the group; flows
+        already in the epoch are left alone.
+        """
         assign = group.assign
         if assign is None:
             return
-        uu, first = np.unique(uids, return_index=True)
-        row_bytes = plan.row_bytes
-        for u, pos in zip(uu.tolist(), first.tolist()):
-            if ep.assign[u] >= 0:
-                continue
-            pidx = int(assign[pos])
-            if pidx < 0:
-                continue
-            ps = group.progs[pidx]
+        fids, first = np.unique(uids, return_index=True)
+        fresh = ep.slot[fids] < 0
+        flow_pidx = assign[first]
+        for pidx, ps in enumerate(group.progs):
             prog = ps.prog
-            if ps.bailed or not prog.supported or ps.force_f[pos]:
+            if ps.bailed or not prog.supported:
                 continue
-            det_steps = []
-            for step, art in zip(prog.steps, ps.arts):
+            sel = np.flatnonzero(fresh & (flow_pidx == pidx))
+            sel = sel[~ps.force_f[first[sel]]]
+            if not sel.size:
+                continue
+            pos = first[sel]
+            slots, step_cols = ep.add(fids[sel], pidx)
+            pos_l = pos.tolist()
+            slots_l = slots.tolist()
+            for step, art, cols in zip(prog.steps, ps.arts, step_cols):
                 if isinstance(step, _MapGet):
-                    det_steps.append(art["keys"][pos])
+                    keys, by_slot = art["keys"], cols[0]
+                    for s, p in zip(slots_l, pos_l):
+                        by_slot[s] = keys[p]
                 elif isinstance(step, _VecPut):
-                    det_steps.append(
-                        (int(art["cells"][pos]), self._stored_row(art, pos))
-                    )
+                    cols[0][slots] = art["cells"][pos]
+                    rows = cols[1]
+                    for s, p in zip(slots_l, pos_l):
+                        rows[s] = self._stored_row(art, p)
                 elif isinstance(step, _VecBorrow):
-                    det_steps.append((int(art["cells"][pos]),))
+                    cols[0][slots] = art["cells"][pos]
                 else:  # _IsAlloc / _Rejuv
-                    det_steps.append(
-                        (int(art["cells"][pos]), bool(art["flags"][pos]))
-                    )
-            action = None
-            if prog.const_result is None:
-                port = prog.port_const
-                if ps.port_vals is not None:
-                    port = int(ps.port_vals[pos])
-                mods = tuple(
-                    (name, int(vals[pos])) for name, vals in ps.mod_vals
+                    cols[0][slots] = art["cells"][pos]
+                    cols[1][slots] = art["flags"][pos]
+            results = ep.results
+            if prog.const_result is not None:
+                for s in slots_l:
+                    results[s] = prog.const_result
+            else:
+                ports = (
+                    ps.port_vals[pos].tolist() if ps.port_vals is not None
+                    else [prog.port_const] * pos.size
                 )
-                action = (port, mods)
-            det = (pidx, tuple(det_steps), action)
-            ep.bucket[row_bytes[u]] = det
-            ep.insert(u, det)
+                mods = [
+                    (name, vals[pos].tolist()) for name, vals in ps.mod_vals
+                ]
+                for j, s in enumerate(slots_l):
+                    results[s] = PacketResult(
+                        prog.kind, ports[j],
+                        {name: vals[j] for name, vals in mods},
+                        prog.ops_list, False,
+                    )
 
     @staticmethod
     def _stored_row(art, pos):
@@ -1144,7 +1178,7 @@ class CompiledDispatcher:
             name: Column(self._field_col(name)[g_lanes]) for name in pp.fields
         }
         if pp.need_time:
-            base_env["time"] = Column(self._ts[g_lanes])
+            base_env["time"] = Column(self._batch.timestamps[g_lanes])
         shared = pp.shared_ok
         env = dict(base_env)
         cache: dict = {}
@@ -1605,7 +1639,7 @@ class CompiledDispatcher:
     def _flush_ts(self, store):
         if not self._ts_pending:
             return
-        ts = self._ts
+        ts = self._batch.timestamps
         for obj, parts in self._ts_pending.items():
             if len(parts) == 1:
                 lanes, cells = parts[0]

@@ -22,8 +22,10 @@ Two execution paths produce bit-identical results:
 from __future__ import annotations
 
 import gc
+import operator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import starmap
+from itertools import repeat, starmap
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -32,7 +34,8 @@ from repro import obs
 from repro.core.codegen import ParallelNF, Strategy
 from repro.nf.api import ActionKind
 from repro.nf.runtime import PacketResult
-from repro.rs3.toeplitz import hash_input_matrix
+from repro.rs3.toeplitz import hash_input_rows
+from repro.sim.batch import PacketBatch, pack_words, unique_words
 from repro.sim.compiled import compile_parallel
 from repro.traffic.generator import Trace
 
@@ -57,12 +60,13 @@ _SOFT_WRITE_OPS = frozenset({"dchain_rejuvenate", "expire"})
 class FlowSteeringCache:
     """Per-flow dispatch cache: RSS hash input ⟶ core, across traces.
 
-    RSS steering is a pure function of the packet's hash-input bytes and
+    RSS steering is a pure function of the packet's hash-input fields and
     the ingress port, so the first packet of a flow fixes the core for
     every later packet of that flow.  The cache works at *unique-flow*
-    granularity: a trace is reduced with ``np.unique`` first, only the
-    rows never seen before are Toeplitz-hashed, and the per-packet fan-out
-    back is a single vectorized gather.
+    granularity: a port's RSS field columns are packed into integer
+    words and deduplicated, the unique keys are probed with one C-level
+    ``map(dict.get, ...)``, only the misses are Toeplitz-hashed, and the
+    per-packet fan-out back is a single vectorized gather.
 
     The one way a cached decision can go stale is the indirection table
     being rebalanced underneath it (RSS++ moves entries between queues),
@@ -75,20 +79,23 @@ class FlowSteeringCache:
 
     def __init__(self, rss) -> None:
         self.rss = rss
-        self._cores: dict[tuple[int, bytes], int] = {}
+        # Flow key -> core; a flow key is the packed hash input with the
+        # port's index in ``rss.ports`` in its low bits (see _steer_port).
+        # Values are plain core ints: the fuzzer's stale-cache fault
+        # injector rewrites them.
+        self._cores: dict[int, int] = {}
         # Indirection-table slot per cached flow, kept in a parallel dict
         # (not folded into _cores values): elastic runs need the slot to
-        # bucket-tag state, while existing consumers — and the fuzzer's
-        # stale-cache fault injector — treat _cores values as plain core
-        # ints.
-        self._slots: dict[tuple[int, bytes], int] = {}
+        # bucket-tag state.
+        self._slots: dict[int, int] = {}
         self._generation = rss.steering_generation
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
         # Whole-trace memo: steering is a pure function of (generation,
-        # packet bytes), so replaying the *same* trace object against an
-        # unchanged generation can skip hashing entirely.
+        # packets), so replaying the *same, unchanged* trace against an
+        # unchanged generation can skip hashing entirely.  Keyed by the
+        # PacketBatch snapshot, so an in-place edit of the list misses.
         self._trace_memo: tuple | None = None
 
     def __len__(self) -> int:
@@ -128,6 +135,7 @@ class FlowSteeringCache:
         *,
         with_misses: bool = False,
         with_slots: bool = False,
+        batch: PacketBatch | None = None,
     ) -> np.ndarray | tuple[np.ndarray, ...]:
         """Core ids for every packet of ``trace``, in trace order.
 
@@ -141,12 +149,17 @@ class FlowSteeringCache:
         indirection-table slot (the steering *bucket*), which elastic
         runs use to bucket-tag the state each packet creates.  Return
         order is ``cores[, miss][, slots]``.
+
+        ``batch`` is the call's :class:`PacketBatch` of ``trace``, if the
+        caller already has one; its columns are shared, not re-extracted.
         """
         self._check_generation()
         memo = self._trace_memo
-        if memo is not None and memo[0] is trace and (
-            not with_slots or memo[3] is not None
-        ):
+        # A caller passing the memo's own batch has already matched it
+        # against ``trace``; anyone else pays the item-by-item check.
+        if memo is not None and (
+            memo[0] is batch or memo[0].matches(trace)
+        ) and (not with_slots or memo[3] is not None):
             # Every flow of this exact trace is already cached; replay
             # the decisions and the counters a warm re-steer would emit.
             _, memo_cores, port_counts, memo_slots = memo
@@ -162,25 +175,30 @@ class FlowSteeringCache:
             if with_slots:
                 out.append(memo_slots.copy())
             return out[0] if len(out) == 1 else tuple(out)
-        cores = np.zeros(len(trace), dtype=np.int64)
-        miss = np.zeros(len(trace), dtype=bool) if with_misses else None
-        slots = np.zeros(len(trace), dtype=np.int64) if with_slots else None
-        by_port: dict[int, list[int]] = {}
-        for i, (port, _) in enumerate(trace):
-            by_port.setdefault(port, []).append(i)
-        for port, indices in by_port.items():
+        if batch is None:
+            batch = PacketBatch(trace)
+        n = batch.n
+        cores = np.zeros(n, dtype=np.int64)
+        miss = np.zeros(n, dtype=bool) if with_misses else None
+        slots = np.zeros(n, dtype=np.int64) if with_slots else None
+        ports = batch.ports
+        uniq, first = np.unique(ports, return_index=True)
+        port_counts = []
+        for port in uniq[np.argsort(first)].tolist():
+            idx = np.flatnonzero(ports == port)
             port_cores, port_miss, port_slots = self._steer_port(
-                port, [trace[i][1] for i in indices], with_misses, with_slots
+                port, batch, idx, with_misses, with_slots
             )
-            cores[indices] = port_cores
+            cores[idx] = port_cores
             if miss is not None and port_miss is not None:
-                miss[indices] = port_miss
+                miss[idx] = port_miss
             if slots is not None and port_slots is not None:
-                slots[indices] = port_slots
+                slots[idx] = port_slots
+            port_counts.append((port, idx.size))
         self._trace_memo = (
-            trace,
+            batch,
             cores.copy(),
-            [(port, len(indices)) for port, indices in by_port.items()],
+            port_counts,
             slots.copy() if slots is not None else None,
         )
         out = [cores]
@@ -193,77 +211,79 @@ class FlowSteeringCache:
     def _steer_port(
         self,
         port: int,
-        packets: list,
+        batch: PacketBatch,
+        idx: np.ndarray,
         with_misses: bool = False,
         with_slots: bool = False,
     ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
         config = self.rss.port_config(port)
-        matrix = hash_input_matrix(packets, config.option)
-        if matrix.shape[1] == 0:
+        fields = config.option.fields
+        m = idx.size
+        if not fields:
             # Degenerate empty field option: every packet hashes alike.
             core = config.table.lookup(0)
-            mask = np.zeros(len(packets), dtype=bool) if with_misses else None
-            slots = (
-                np.zeros(len(packets), dtype=np.int64) if with_slots else None
-            )
-            return np.full(len(packets), core, dtype=np.int64), mask, slots
-        # Collapse the trace to its unique flows: one void view per row
-        # lets np.unique treat each hash input as an opaque scalar.
-        rows = np.ascontiguousarray(matrix).view(
-            np.dtype((np.void, matrix.shape[1]))
-        ).ravel()
-        unique_rows, inverse = np.unique(rows, return_inverse=True)
-        unique_cores = np.zeros(len(unique_rows), dtype=np.int64)
-        unique_slots = (
-            np.zeros(len(unique_rows), dtype=np.int64) if with_slots else None
+            mask = np.zeros(m, dtype=bool) if with_misses else None
+            slots = np.zeros(m, dtype=np.int64) if with_slots else None
+            return np.full(m, core, dtype=np.int64), mask, slots
+        # Collapse the port's packets to unique flows: the hash-input
+        # fields, truncated to their widths, packed into uint64 words.
+        cols = [batch.column(fld.packet_field)[idx] for fld in fields]
+        words = pack_words(
+            [col & ((1 << fld.width) - 1) for col, fld in zip(cols, fields)],
+            [fld.width for fld in fields],
         )
-        missing: list[int] = []
-        cache = self._cores
-        slot_cache = self._slots
-        for u, row in enumerate(unique_rows):
-            cached = cache.get((port, row.tobytes()))
-            if cached is None:
-                missing.append(u)
-            else:
-                unique_cores[u] = cached
-                if unique_slots is not None:
-                    unique_slots[u] = slot_cache.get((port, row.tobytes()), 0)
-        if missing:
-            missing_rows = unique_rows[missing].view(np.uint8).reshape(
-                len(missing), matrix.shape[1]
+        keys, rep, inverse = unique_words(words)
+        # Tag each key with the port: shift in the port's index.
+        port_bits = (len(self.rss.ports) - 1).bit_length()
+        if port_bits:
+            index = list(self.rss.ports).index(port)
+            keys = list(map(
+                operator.or_, map(operator.lshift, keys, repeat(port_bits)),
+                repeat(index),
+            ))
+        n_unique = len(keys)
+        unique_cores = np.fromiter(
+            map(self._cores.get, keys, repeat(-1)), np.int64, count=n_unique
+        )
+        unique_slots = (
+            np.fromiter(
+                map(self._slots.get, keys, repeat(0)), np.int64,
+                count=n_unique,
             )
-            hashes = config.hash_rows(missing_rows)
+            if with_slots else None
+        )
+        missing = np.flatnonzero(unique_cores < 0)
+        if missing.size:
+            at = rep[missing]
+            hashes = config.hash_rows(
+                hash_input_rows([col[at] for col in cols], config.option,
+                                missing.size)
+            )
             steered = config.table.steer_batch(hashes)
             hash_slots = np.asarray(hashes, dtype=np.int64) & (
                 config.table.size - 1
             )
-            for u, core, slot in zip(missing, steered, hash_slots):
-                unique_cores[u] = core
-                row_bytes = unique_rows[u].tobytes()
-                cache[(port, row_bytes)] = int(core)
-                slot_cache[(port, row_bytes)] = int(slot)
-                if unique_slots is not None:
-                    unique_slots[u] = slot
-        counts = np.bincount(inverse, minlength=len(unique_rows))
-        miss_packets = int(counts[missing].sum()) if missing else 0
-        self.misses += len(missing)
-        self.hits += len(packets) - miss_packets
+            unique_cores[missing] = steered
+            if unique_slots is not None:
+                unique_slots[missing] = hash_slots
+            new_keys = list(map(keys.__getitem__, missing.tolist()))
+            self._cores.update(zip(new_keys, steered.tolist()))
+            self._slots.update(zip(new_keys, hash_slots.tolist()))
+        miss_unique = np.zeros(n_unique, dtype=bool)
+        miss_unique[missing] = True
+        mask = miss_unique[inverse]
+        miss_packets = int(np.count_nonzero(mask))
+        self.misses += missing.size
+        self.hits += m - miss_packets
         if obs.enabled():
-            obs.counter("fastpath.misses", len(missing), port=port)
-            obs.counter("fastpath.hits", len(packets) - miss_packets, port=port)
-        mask = None
-        if with_misses:
-            # Same gather trick as the core lookup below: a per-unique
-            # miss flag expanded through ``inverse`` is O(U + N), where
-            # np.isin would sort ``missing`` per call.
-            miss_unique = np.zeros(len(unique_rows), dtype=bool)
-            if missing:
-                miss_unique[missing] = True
-            mask = miss_unique[inverse]
+            obs.counter("fastpath.misses", missing.size, port=port)
+            obs.counter("fastpath.hits", m - miss_packets, port=port)
         slots_out = (
             unique_slots[inverse] if unique_slots is not None else None
         )
-        return unique_cores[inverse], mask, slots_out
+        return (
+            unique_cores[inverse], mask if with_misses else None, slots_out
+        )
 
 
 class _ResultsView(Sequence):
@@ -586,6 +606,25 @@ def _execute_slice(
             results[i] = ctxs[core_ids[i]].run(port, pkt)
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic GC for one batched call.
+
+    Steering allocates one key per unique flow and execution one result
+    (plus its mods/ops containers) per packet, and nothing is freed, so
+    generational collections triggered mid-call only re-scan live
+    objects — worth ~15% of the whole per-packet budget at trace scale.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _run_fastpath(
     parallel: ParallelNF,
     trace: Trace,
@@ -612,89 +651,78 @@ def _run_fastpath(
     n = len(trace)
     results: list[PacketResult | None] = [None] * n
     stats_before = [_ctx_stat_snapshot(core.ctx) for core in parallel.cores]
-    # Pause the cyclic GC for the batch: the loop allocates one result
-    # (plus its mods/ops containers) per packet and frees nothing, so
-    # generational collections triggered mid-batch only re-scan live
-    # objects — worth ~15% of the whole per-packet budget at trace scale.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        if sink is None:
-            _execute_slice(parallel, trace, core_ids, results, 0, n, buckets)
-        elif n:
-            # Telemetry attached: execute in window-sized chunks, with
-            # one O(cores) snapshot delta per boundary.  Per-core order
-            # is preserved across chunk boundaries, so the results stay
-            # bit-identical to the plain fast path.  All O(n) work — the
-            # per-core partition and the per-window packet/miss counts —
-            # happens once up front; the chunk loop itself only slices
-            # precomputed lists, keeping the telemetry surcharge to the
-            # O(windows x cores) snapshots the design budgets for.
-            locked = parallel.lock_plan.locked
-            n_cores = parallel.n_cores
-            edges = np.append(np.arange(0, n, sink.window_packets), n)
-            n_chunks = len(edges) - 1
-            flat = (np.arange(n) // sink.window_packets) * n_cores + core_ids
-            pkt_counts = np.bincount(
-                flat, minlength=n_chunks * n_cores
-            ).reshape(n_chunks, n_cores)
-            miss_counts = np.bincount(
-                flat[miss_mask], minlength=n_chunks * n_cores
-            ).reshape(n_chunks, n_cores)
-            shared_nothing = parallel.strategy is Strategy.SHARED_NOTHING
+    if sink is None:
+        _execute_slice(parallel, trace, core_ids, results, 0, n, buckets)
+    elif n:
+        # Telemetry attached: execute in window-sized chunks, with
+        # one O(cores) snapshot delta per boundary.  Per-core order
+        # is preserved across chunk boundaries, so the results stay
+        # bit-identical to the plain fast path.  All O(n) work — the
+        # per-core partition and the per-window packet/miss counts —
+        # happens once up front; the chunk loop itself only slices
+        # precomputed lists, keeping the telemetry surcharge to the
+        # O(windows x cores) snapshots the design budgets for.
+        locked = parallel.lock_plan.locked
+        n_cores = parallel.n_cores
+        edges = np.append(np.arange(0, n, sink.window_packets), n)
+        n_chunks = len(edges) - 1
+        flat = (np.arange(n) // sink.window_packets) * n_cores + core_ids
+        pkt_counts = np.bincount(
+            flat, minlength=n_chunks * n_cores
+        ).reshape(n_chunks, n_cores)
+        miss_counts = np.bincount(
+            flat[miss_mask], minlength=n_chunks * n_cores
+        ).reshape(n_chunks, n_cores)
+        shared_nothing = parallel.strategy is Strategy.SHARED_NOTHING
+        if shared_nothing:
+            # One partition pass per core (exactly what the plain
+            # fast path does), then searchsorted window boundaries
+            # into each core's private order.
+            idx_by_core: list[list[int]] = []
+            pkts_by_core: list[list] = []
+            bounds_by_core: list[np.ndarray] = []
+            for core_id in range(n_cores):
+                order = np.flatnonzero(core_ids == core_id)
+                idx = order.tolist()
+                idx_by_core.append(idx)
+                pkts_by_core.append([trace[i] for i in idx])
+                bounds_by_core.append(np.searchsorted(order, edges))
+        for k in range(n_chunks):
+            before = [
+                core.ctx.stat_snapshot(locked) for core in parallel.cores
+            ]
             if shared_nothing:
-                # One partition pass per core (exactly what the plain
-                # fast path does), then searchsorted window boundaries
-                # into each core's private order.
-                idx_by_core: list[list[int]] = []
-                pkts_by_core: list[list] = []
-                bounds_by_core: list[np.ndarray] = []
-                for core_id in range(n_cores):
-                    order = np.flatnonzero(core_ids == core_id)
-                    idx = order.tolist()
-                    idx_by_core.append(idx)
-                    pkts_by_core.append([trace[i] for i in idx])
-                    bounds_by_core.append(np.searchsorted(order, edges))
-            for k in range(n_chunks):
-                before = [
-                    core.ctx.stat_snapshot(locked) for core in parallel.cores
-                ]
-                if shared_nothing:
-                    for core_id, core in enumerate(parallel.cores):
-                        bounds = bounds_by_core[core_id]
-                        lo, hi = int(bounds[k]), int(bounds[k + 1])
-                        if lo == hi:
-                            continue
-                        if buckets is None:
-                            outs = starmap(
-                                core.ctx.run, pkts_by_core[core_id][lo:hi]
-                            )
-                            for i, result in zip(
-                                idx_by_core[core_id][lo:hi], outs
-                            ):
-                                results[i] = result
-                        else:
-                            ctx = core.ctx
-                            for i in idx_by_core[core_id][lo:hi]:
-                                ctx.current_bucket = int(buckets[i])
-                                port, pkt = trace[i]
-                                results[i] = ctx.run(port, pkt)
-                else:
-                    _execute_slice(
-                        parallel, trace, core_ids, results,
-                        int(edges[k]), int(edges[k + 1]), buckets,
-                    )
-                misses = miss_counts[k]
-                sink.record_window(
-                    _window_rows(
-                        parallel, before, pkt_counts[k], locked,
-                        hits=pkt_counts[k] - misses, misses=misses,
-                    )
+                for core_id, core in enumerate(parallel.cores):
+                    bounds = bounds_by_core[core_id]
+                    lo, hi = int(bounds[k]), int(bounds[k + 1])
+                    if lo == hi:
+                        continue
+                    if buckets is None:
+                        outs = starmap(
+                            core.ctx.run, pkts_by_core[core_id][lo:hi]
+                        )
+                        for i, result in zip(
+                            idx_by_core[core_id][lo:hi], outs
+                        ):
+                            results[i] = result
+                    else:
+                        ctx = core.ctx
+                        for i in idx_by_core[core_id][lo:hi]:
+                            ctx.current_bucket = int(buckets[i])
+                            port, pkt = trace[i]
+                            results[i] = ctx.run(port, pkt)
+            else:
+                _execute_slice(
+                    parallel, trace, core_ids, results,
+                    int(edges[k]), int(edges[k + 1]), buckets,
                 )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+            misses = miss_counts[k]
+            sink.record_window(
+                _window_rows(
+                    parallel, before, pkt_counts[k], locked,
+                    hits=pkt_counts[k] - misses, misses=misses,
+                )
+            )
     _reconcile_core_stats(parallel, core_ids, stats_before)
     run._bulk_install(core_ids, results)
     return run
@@ -739,31 +767,34 @@ def _run_compiled(
     sink = obs.active_telemetry()
     elastic = parallel.elastic
     buckets: np.ndarray | None = None
+    # One column pass per call: steering and the dispatcher share it.
+    batch = dispatcher.batch_for(trace)
     if sink is None:
         if elastic:
-            core_ids, buckets = cache.steer(trace, with_slots=True)
+            core_ids, buckets = cache.steer(
+                trace, with_slots=True, batch=batch
+            )
         else:
-            core_ids = cache.steer(trace)
+            core_ids = cache.steer(trace, batch=batch)
         miss_mask = None
         wp = 0
     else:
         if elastic:
             core_ids, miss_mask, buckets = cache.steer(
-                trace, with_misses=True, with_slots=True
+                trace, with_misses=True, with_slots=True, batch=batch
             )
         else:
-            core_ids, miss_mask = cache.steer(trace, with_misses=True)
+            core_ids, miss_mask = cache.steer(
+                trace, with_misses=True, batch=batch
+            )
         wp = sink.window_packets
     n = len(trace)
     results: list[PacketResult | None] = [None] * n
     stats_before = [_ctx_stat_snapshot(core.ctx) for core in parallel.cores]
     k0 = dispatcher.kernel_packets
     f0 = dispatcher.fallback_packets
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
     try:
-        edges = dispatcher.start_run(trace, core_ids, wp, bucket_ids=buckets)
+        edges = dispatcher.start_run(batch, core_ids, wp, bucket_ids=buckets)
         if sink is None:
             for i in range(len(edges) - 1):
                 dispatcher.run_chunk(edges[i], edges[i + 1], results)
@@ -801,8 +832,6 @@ def _run_compiled(
                         ]
     finally:
         dispatcher.end_run()
-        if gc_was_enabled:
-            gc.enable()
     _reconcile_core_stats(parallel, core_ids, stats_before)
     run._bulk_install(core_ids, results)
     run.compiled = dispatcher.run_stats(k0, f0)
@@ -900,13 +929,13 @@ def run_functional(
     ):
         if sanitize or not fastpath or not trace:
             return _run_reference(parallel, trace, run)
-        if kernels:
-            dispatcher = _get_dispatcher(parallel)
+        dispatcher = _get_dispatcher(parallel) if kernels else None
+        with _gc_paused():
             if dispatcher is not None:
                 return _run_compiled(
                     parallel, trace, run, flow_cache, dispatcher
                 )
-        return _run_fastpath(parallel, trace, run, flow_cache)
+            return _run_fastpath(parallel, trace, run, flow_cache)
 
 
 # ------------------------------------------------------------------ #

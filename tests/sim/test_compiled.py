@@ -9,15 +9,22 @@ caches, and steering-table churn.  ``sanitize=True`` must bypass the
 kernels entirely, exactly as it bypasses the steering cache.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.sim.compiled as compiled
 from repro import obs
 from repro.core.codegen import Strategy
 from repro.core.pipeline import Maestro
 from repro.fuzz.workloads import WorkloadSpec, materialize_workload
 from repro.nf.nfs import ALL_NFS
 from repro.nf.nfs.firewall import Firewall
+from repro.nf.packet import Packet
+from repro.sim.batch import PacketBatch
 from repro.obs.collect import MemoryCollector
 from repro.sim.functional import FlowSteeringCache, run_functional
 
@@ -179,6 +186,169 @@ class TestCacheTemperature:
         run_cold = run_functional(par_cold, trace)
         run_warm = run_functional(par_warm, trace, flow_cache=cache)
         assert_runs_identical(run_cold, run_warm, par_cold, par_warm)
+
+
+def shifted(trace, seconds):
+    """The same packets, ``seconds`` later: a new call of known flows."""
+    return [
+        (port, replace(pkt, timestamp=pkt.timestamp + seconds))
+        for port, pkt in trace
+    ]
+
+
+class TestFlowIdMemo:
+    """The kernel memo is indexed by persistent per-port flow ids, and
+    its epochs live across calls while the state versions hold."""
+
+    def test_small_memo_cap_stays_identical(
+        self, make_pair, generator, monkeypatch
+    ):
+        """With the id-table cap tiny, tables and epochs are dropped and
+        rebuilt over and over; every call must still match the oracle.
+        Calls carry changing subsets of the known flows, so ids issued
+        after a drop name other flows than before it (nat rewrites per
+        flow, so a stale epoch would show)."""
+        monkeypatch.setattr(compiled, "_MEMO_MAX", 8)
+        par_ref, par_comp = make_pair("nat", n_cores=8)
+        cache = FlowSteeringCache(par_comp.rss)
+        known = generator.make_flows(12)
+        rng = np.random.default_rng(3)
+        sizes = []
+        for call in range(9):
+            flows = known if call == 0 else [
+                known[i] for i in sorted(rng.choice(12, 9, replace=False))
+            ]
+            if call % 4 == 3:
+                flows = flows + generator.make_flows(6)
+            trace = shifted(
+                generator.trace(
+                    300, flows, in_port=0, reply_port=1,
+                    reply_fraction=0.3,
+                ),
+                0.25 * call,
+            )
+            run_ref = run_functional(par_ref, trace, fastpath=False)
+            run_comp = run_functional(par_comp, trace, flow_cache=cache)
+            assert_runs_identical(run_ref, run_comp, par_ref, par_comp)
+            sizes.append(len(par_comp._compiled_dispatcher._fids[0]))
+        assert par_comp._compiled_dispatcher.memo_hits > 0
+        # The cap was enforced: the table shrank back at least once.
+        assert max(sizes) > 8
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
+
+    def test_new_flows_reach_a_standing_epoch(self, make_pair, generator):
+        """Replies of unknown flows change no state, so the WAN port's
+        epochs outlive the call while new flow ids keep arriving."""
+        par_ref, par_comp = make_pair("fw")
+        cache = FlowSteeringCache(par_comp.rss)
+        first, known = generator.uniform_trace(
+            400, 20, in_port=0, reply_port=1, reply_fraction=0.3
+        )
+        calls = [first]
+        for call in range(1, 5):
+            # Fresh unknown flows every other call; the calls between
+            # repeat the previous set, so the memo can answer them.
+            if call % 2:
+                flows = known + generator.make_flows(10)
+            calls.append(shifted(
+                [(1, port_pkt[1]) for port_pkt in generator.trace(
+                    400, [f.inverted() for f in flows]
+                )],
+                0.1 * call,
+            ))
+        for trace in calls:
+            run_ref = run_functional(par_ref, trace, fastpath=False)
+            run_comp = run_functional(par_comp, trace, flow_cache=cache)
+            assert_runs_identical(run_ref, run_comp, par_ref, par_comp)
+        disp = par_comp._compiled_dispatcher
+        assert disp.memo_hits > 0
+        assert len(disp._fids[1]) > 20
+
+    def test_out_of_range_fields_never_alias_packed_keys(self, make_pair):
+        """A call carrying a value wider than its header field (here a
+        17-bit source port) keys its flows field by field; those keys
+        must never equal a packed key issued in another call.  With
+        fw's fields packed as (dst_ip|dst_port, src_ip|src_port), ``z``
+        below would otherwise take ``reply``'s flow id and memo entry."""
+        _, par = make_pair("fw", n_cores=1)
+        disp = compiled.compile_parallel(par)
+        pp = disp.ports[1]
+        q, s = 7, 9
+        reply = Packet(src_ip=0, dst_ip=0, src_port=s, dst_port=q)
+        wide = Packet(src_ip=5, dst_ip=6, src_port=2**17, dst_port=1)
+        z = Packet(src_ip=q, dst_ip=0, src_port=s, dst_port=0)
+        disp.start_run(PacketBatch([(1, reply)]), np.zeros(1, np.int64), 0)
+        (reply_id,) = disp._plan_for(pp)
+        disp.start_run(
+            PacketBatch([(1, wide), (1, z), (1, reply)]),
+            np.zeros(3, np.int64), 0,
+        )
+        ids = disp._plan_for(pp).tolist()
+        assert len(set(ids)) == 3
+        assert reply_id not in ids[:2]
+
+    def test_equal_flows_share_results_across_calls(
+        self, make_pair, generator
+    ):
+        """Contract (DESIGN §13): a memo epoch hands every packet of a
+        flow the same PacketResult object, in this and later calls."""
+        par_ref, par_comp = make_pair("nat")
+        cache = FlowSteeringCache(par_comp.rss)
+        base, _ = generator.uniform_trace(
+            600, 30, in_port=0, reply_port=1, reply_fraction=0.3
+        )
+        runs = []
+        for call in range(3):
+            trace = shifted(base, 0.1 * call)
+            run_ref = run_functional(par_ref, trace, fastpath=False)
+            run_comp = run_functional(par_comp, trace, flow_cache=cache)
+            assert_runs_identical(run_ref, run_comp, par_ref, par_comp)
+            runs.append(run_comp)
+        second, third = runs[1], runs[2]
+        shared = 0
+        for i in range(len(base)):
+            a, b = second.results[i][1], third.results[i][1]
+            assert a == b  # equal flows, equal results across calls
+            shared += a is b
+        assert shared > 0
+        # Rewrites are per flow: an object carrying mods is never handed
+        # to a packet of another flow.
+        owners: dict[int, set] = {}
+        for (port, pkt), (_, r) in zip(base, third.results):
+            if r.mods:
+                owners.setdefault(id(r), set()).add(
+                    (port, pkt.src_ip, pkt.dst_ip, pkt.src_port,
+                     pkt.dst_port, pkt.proto)
+                )
+        assert owners
+        assert all(len(flows) == 1 for flows in owners.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(0, 8, allow_nan=False), max_size=12),
+    st.floats(-2, 8, allow_nan=False) | st.just(float("-inf")),
+    st.integers(0, 12),
+)
+def test_first_due_matches_the_scalar_gate(times, last, j):
+    """The expiry planner's jump equals a packet-by-packet scan of the
+    interpreter's gate ``now - last_expiry >= 1.0``."""
+    tsub = np.array(sorted(times), dtype=np.float64)
+    j = min(j, tsub.size)
+    expect = next(
+        (k for k in range(j, tsub.size) if tsub[k] - last >= 1.0),
+        tsub.size,
+    )
+    assert compiled._first_due(tsub, last, j) == expect
+    # Rounding edges: a timestamp exactly one second (as computed in
+    # floating point) after ``last``.
+    edge = np.array([last + 1.0, np.nextafter(last + 1.0, -np.inf)])
+    if np.isfinite(last):
+        edge.sort()
+        expect = next(
+            (k for k in range(2) if edge[k] - last >= 1.0), 2
+        )
+        assert compiled._first_due(edge, last, 0) == expect
 
 
 class TestSteeringGenerationInvalidation:

@@ -110,3 +110,32 @@ class TestCompiledMemoInvalidation:
         assert disp.memo_invalidations > inv_before
         assert list(run_ref.results) == list(run_comp.results)
         assert np.array_equal(run_ref.core_ids, run_comp.core_ids)
+
+    def test_rebalance_flushes_flow_ids_and_epochs(self, make_pair, generator):
+        """The bump drops the per-port flow-id tables and every memo
+        epoch: ids restart from the next trace alone, and no epoch
+        object survives into the re-steered run."""
+        par_ref, par_comp = make_pair("fw")
+        cache = FlowSteeringCache(par_comp.rss)
+        first, _ = generator.uniform_trace(600, 50, in_port=0)
+        second, flows = generator.uniform_trace(600, 40, in_port=0)
+        for trace in (first, second):
+            run_functional(par_ref, trace, fastpath=False)
+            run_functional(par_comp, trace, flow_cache=cache)
+        disp = par_comp._compiled_dispatcher
+        assert len(disp._fids[0]) == 90  # ids persist across traces
+        epochs_before = list(disp._epochs.values())  # kept alive
+        assert epochs_before
+
+        assert rebalance_all_ports(par_ref) > 0
+        assert rebalance_all_ports(par_comp) > 0
+        again = list(second)  # a new list: not a replay
+        run_ref = run_functional(par_ref, again, fastpath=False)
+        run_comp = run_functional(par_comp, again, flow_cache=cache)
+        assert list(run_ref.results) == list(run_comp.results)
+        assert np.array_equal(run_ref.core_ids, run_comp.core_ids)
+        assert len(disp._fids[0]) == len(flows)
+        assert disp._epochs
+        assert not any(
+            ep is old for ep in disp._epochs.values() for old in epochs_before
+        )
