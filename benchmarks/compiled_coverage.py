@@ -14,8 +14,8 @@ compiler lost every path of that NF (a lowering or classification
 regression), which wall-clock benchmarks on the flagship firewall would
 never notice.
 
-Cold coverage is allowed to be low (allocation paths are interpreter-
-only by design), so only total blackout fails.  Exit codes: 0 ok,
+Cold coverage is allowed to be low (granted allocations run on the
+interpreter by design), so only total blackout fails.  Exit codes: 0 ok,
 1 coverage blackout, 2 usage/internal errors.
 """
 

@@ -24,7 +24,9 @@ Checks, one stable code each (all error severity):
     Fallback-set soundness.  A supported program must use only
     ``LOWERED_OPS``; a demoted program's unlowered suffix must publish
     every write aspect it can perform into the dirt descriptors, or the
-    frozen-prefix hazard analysis would never see those writes.
+    frozen-prefix hazard analysis would never see those writes.  The
+    same holds for the suffix from each lowered ``dchain_allocate``,
+    where the program stops when a chunk leaves the outcome undecided.
 ``MAE302``
     Hazard-demotion completeness.  For every kernel step kind, a
     read/write interference lattice derived here (independently of the
@@ -36,10 +38,11 @@ Checks, one stable code each (all error severity):
 ``MAE303``
     Memo-guard completeness.  The mutable dependencies of a memoized
     classification are re-derived from the step semantics (map reads →
-    map version, vector reads → vector version, chain flag reads and
-    timestamp writes → alloc version) and must all appear in the port's
-    version guard set; time-consuming programs must defeat memoization;
-    consumed packet fields must be part of the flow-id key.
+    map version, vector reads → vector version, chain flag reads,
+    timestamp writes and allocation outcomes → alloc version) and must
+    all appear in the port's version guard set; time-consuming programs
+    must defeat memoization; consumed packet fields must be part of the
+    flow-id key.
 ``MAE304``
     Plan/verdict consistency.  Kernel scatter writes must stay inside
     the source path's write footprint; under LOCKS/TM every vector
@@ -110,12 +113,16 @@ __all__ = [
 #: timestamp scatters conflict with interpreter timestamp writes and
 #: with allocation (a slot allocated mid-chunk invalidates the frozen
 #: flag the lane classified on); flag reads conflict with allocation.
+#: An allocation-outcome read conflicts with nothing: its lane is a
+#: kernel lane only when the chain has no free slot, so every
+#: allocation in the chunk fails, and only chunk-boundary sweeps free.
 _INTERFERENCE: dict[str, tuple[str, ...]] = {
     "map_get": ("map_w",),
     "vector_borrow": ("vec_w",),
     "vector_put": ("vec_w", "vec_r"),
     "dchain_rejuvenate": ("ts_w", "alloc"),
     "dchain_is_allocated": ("alloc",),
+    "dchain_allocate": (),
 }
 
 #: Dirt a step's own lanes publish when the program bails (wildcard
@@ -125,18 +132,22 @@ _PUBLISH_ASPECT: dict[str, str] = {
     "dchain_rejuvenate": "ts_w",
     "vector_put": "vec_w",
     "vector_borrow": "vec_r",
+    "dchain_allocate": "alloc",
 }
 
 #: Version guard a memoized classification needs per read-step kind:
 #: ``Map.version`` for probes, ``Vector.version`` for row reads,
-#: ``DChain.alloc_version`` for flag reads *and* timestamp scatters
+#: ``DChain.alloc_version`` for flag reads, timestamp scatters
 #: (rejuvenation deliberately does not bump a version, so the scatter
-#: must be guarded by the allocation epoch of the slots it touches).
+#: must be guarded by the allocation epoch of the slots it touches) and
+#: allocation outcomes (whether the chain is full changes only when its
+#: allocated set does).
 _MEMO_GUARD_KIND: dict[str, str] = {
     "map_get": "map",
     "vector_borrow": "vec",
     "dchain_is_allocated": "chain",
     "dchain_rejuvenate": "chain",
+    "dchain_allocate": "chain",
 }
 
 #: Write aspects an *unlowered* trace op can perform — what a demoted
@@ -225,7 +236,48 @@ def _expected_binds(entry) -> tuple[str, ...]:
         return tuple(sym.name for _, sym in entry.results)
     if op == "dchain_is_allocated":
         return (entry.result("allocated").name,)
+    if op == "dchain_allocate":
+        # The outcome only: the allocated index never reaches a kernel.
+        return (entry.result("ok").name,)
     return ()
+
+
+def _check_suffix_dirt(
+    entries, covered, where: str, pid: str, findings: list[_Finding]
+) -> bool:
+    """MAE301: every write aspect of ``entries`` is in ``covered``."""
+    ok = True
+    for e in entries:
+        aspects = _OP_WRITE_ASPECTS.get(e.op, _ALL_ASPECTS)
+        if aspects is None:
+            continue
+        for aspect in aspects:
+            if (aspect, e.obj) not in covered:
+                findings.append(_Finding(
+                    "MAE301",
+                    f"{where} unlowered {e.op}({e.obj!r}) is missing its "
+                    f"{aspect!r} dirt descriptor — the frozen-prefix "
+                    "hazard analysis would never see this write",
+                    obj=e.obj, op=e.op, path_id=pid,
+                ))
+                ok = False
+    return ok
+
+
+def _check_alloc_cuts(prog, entries, findings: list[_Finding]) -> bool:
+    """MAE301 for each lowered allocation: when a chunk leaves its
+    outcome undecided the program stops there, and its lanes publish the
+    step's ``cut`` — which must cover every write from that entry on."""
+    ok = True
+    for i, step in enumerate(prog.steps):
+        if step.sig[0] != "dchain_allocate":
+            continue
+        covered = {(a, o) for a, o, _ in getattr(step, "cut", ())}
+        ok &= _check_suffix_dirt(
+            entries[i:], covered, "stopped-at-allocation path's",
+            _pid(prog), findings,
+        )
+    return ok
 
 
 def _certify_program(prog, findings: list[_Finding], seed: int) -> bool:
@@ -259,22 +311,10 @@ def _certify_program(prog, findings: list[_Finding], seed: int) -> bool:
         stop = prog.stop if prog.stop is not None else len(prog.steps)
         covered = {(a, o) for a, o, _ in prog.dirt_descs}
         covered.update(prog.wild)
-        for e in entries[stop:]:
-            aspects = _OP_WRITE_ASPECTS.get(e.op, _ALL_ASPECTS)
-            if aspects is None:
-                continue
-            for aspect in aspects:
-                if (aspect, e.obj) not in covered:
-                    findings.append(_Finding(
-                        "MAE301",
-                        f"demoted path's unlowered {e.op}({e.obj!r}) is "
-                        f"missing its {aspect!r} dirt descriptor — the "
-                        "frozen-prefix hazard analysis would never see "
-                        "this write",
-                        obj=e.obj, op=e.op, path_id=pid,
-                    ))
-                    ok = False
-        return ok
+        ok &= _check_suffix_dirt(
+            entries[stop:], covered, "demoted path's", pid, findings
+        )
+        return _check_alloc_cuts(prog, entries, findings) and ok
 
     rogue = sorted({e.op for e in entries if e.op not in LOWERED_OPS})
     if rogue:
@@ -295,7 +335,11 @@ def _certify_program(prog, findings: list[_Finding], seed: int) -> bool:
         ))
         return False
 
-    return _check_equivalence(prog, outcome, path, entries, findings, seed)
+    cuts_ok = _check_alloc_cuts(prog, entries, findings)
+    return (
+        _check_equivalence(prog, outcome, path, entries, findings, seed)
+        and cuts_ok
+    )
 
 
 def _check_equivalence(

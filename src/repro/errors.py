@@ -6,9 +6,9 @@ callers can catch library failures without masking programming errors.
 
 from __future__ import annotations
 
-
-class ReproError(Exception):
-    """Base class for all errors raised by this library."""
+# The root class and the malformed-input error are defined in the
+# stdlib-only ``repro.obs`` layer, so that it can raise them too.
+from repro.obs.errors import InputError, ReproError
 
 
 class SymbolicError(ReproError):

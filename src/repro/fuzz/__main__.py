@@ -3,7 +3,7 @@
 Replays the checked-in crash corpus first, then fuzzes fresh cases.
 Exit codes match ``repro.analysis``: 0 when the corpus replays with
 its recorded expectations and no new failure was found, 1 when any
-check failed, 2 on usage mistakes.
+check failed, 2 on usage mistakes and malformed corpus files.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.errors import InputError
 from repro.fuzz.generator import SHAPES
 from repro.fuzz.oracle import FAULTS
 from repro.fuzz.runner import FuzzSession
@@ -120,7 +121,11 @@ def main(argv: list[str] | None = None) -> int:
         shrink=not args.no_shrink,
         replay=not args.no_replay,
     )
-    report = session.run()
+    try:
+        report = session.run()
+    except InputError as exc:  # a malformed corpus file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if (
         args.workload == "rescale"
         and args.runs > 0

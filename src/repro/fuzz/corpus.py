@@ -23,9 +23,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import repro
+from repro.errors import InputError
 from repro.fuzz.generator import NfSpec, render_source
-from repro.fuzz.oracle import OracleReport, run_oracle
+from repro.fuzz.oracle import FAULTS, OracleReport, run_oracle
 from repro.nf.packet import Packet
+from repro.obs.errors import field_of
 
 __all__ = [
     "CORPUS_FORMAT",
@@ -58,6 +60,22 @@ def packet_to_dict(pkt: Packet) -> dict:
 
 def packet_from_dict(data: dict) -> Packet:
     return Packet(**{name: data[name] for name in _PACKET_FIELDS if name in data})
+
+
+def _fault(value) -> str | None:
+    if value is not None and value not in FAULTS:
+        raise ValueError(f"unknown fault {value!r}")
+    return value
+
+
+def _object(value) -> dict | None:
+    if value is not None and not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _trace_from_list(items) -> list:
+    return [(int(port), packet_from_dict(pkt)) for port, pkt in items]
 
 
 @dataclass
@@ -99,28 +117,35 @@ class CorpusEntry:
 
     @classmethod
     def from_dict(cls, data: dict, path: Path | None = None) -> "CorpusEntry":
-        if data.get("format") != CORPUS_FORMAT:
-            raise ValueError(
-                f"{path or '<data>'}: unknown corpus format "
-                f"{data.get('format')!r} (expected {CORPUS_FORMAT})"
+        """Inverse of :meth:`to_dict`; a missing or malformed field raises
+        :class:`~repro.errors.InputError` naming ``path`` and the field."""
+        try:
+            return cls._from_dict(data, path)
+        except InputError as exc:
+            raise exc.within(path) from None
+
+    @classmethod
+    def _from_dict(cls, data, path) -> "CorpusEntry":
+        fmt = field_of(data, "format", default=None)
+        if fmt != CORPUS_FORMAT:
+            raise InputError(
+                path, "format",
+                f"unknown corpus format {fmt!r} (expected {CORPUS_FORMAT})",
             )
         return cls(
-            name=data["name"],
-            spec=NfSpec.from_dict(data["spec"]),
-            trace=[
-                (int(port), packet_from_dict(pkt))
-                for port, pkt in data["trace"]
-            ],
-            signature=data["signature"],
-            expect=data.get("expect", "fail"),
-            fault=data.get("fault"),
-            seed=data.get("seed"),
-            n_cores=int(data.get("n_cores", 4)),
-            maestro_seed=int(data.get("maestro_seed", 0)),
-            pipeline_version=data.get("pipeline_version", ""),
-            failure=data.get("failure"),
-            shrink=data.get("shrink"),
-            nf_source=data.get("nf_source", ""),
+            name=field_of(data, "name"),
+            spec=field_of(data, "spec", NfSpec.from_dict),
+            trace=field_of(data, "trace", _trace_from_list),
+            signature=field_of(data, "signature"),
+            expect=field_of(data, "expect", default="fail"),
+            fault=field_of(data, "fault", _fault, default=None),
+            seed=field_of(data, "seed", default=None),
+            n_cores=field_of(data, "n_cores", int, default=4),
+            maestro_seed=field_of(data, "maestro_seed", int, default=0),
+            pipeline_version=field_of(data, "pipeline_version", default=""),
+            failure=field_of(data, "failure", _object, default=None),
+            shrink=field_of(data, "shrink", default=None),
+            nf_source=field_of(data, "nf_source", default=""),
             path=path,
         )
 
@@ -187,15 +212,21 @@ def save_reproducer(corpus_dir: str | Path, entry: CorpusEntry) -> Path:
 
 
 def load_corpus(corpus_dir: str | Path) -> list[CorpusEntry]:
-    """Load every ``*.json`` reproducer in ``corpus_dir`` (sorted)."""
+    """Load every ``*.json`` reproducer in ``corpus_dir`` (sorted).
+
+    A file that is not valid JSON, or lacks or mangles a field, raises
+    :class:`~repro.errors.InputError` naming the file and the field.
+    """
     corpus_dir = Path(corpus_dir)
     if not corpus_dir.is_dir():
         return []
     entries = []
     for path in sorted(corpus_dir.glob("*.json")):
-        entries.append(
-            CorpusEntry.from_dict(json.loads(path.read_text()), path=path)
-        )
+        try:
+            data = json.loads(path.read_text())
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise InputError(path, "<file>", f"not valid JSON ({exc})") from None
+        entries.append(CorpusEntry.from_dict(data, path=path))
     return entries
 
 

@@ -74,6 +74,10 @@ FAULTS: tuple[str, ...] = (
     "skew-kernel",
 )
 
+#: Lanes per kernel chunk in the compiled leg (generated traces hold a
+#: few hundred packets; the dataplane default is 2048).
+_ORACLE_CHUNK = 32
+
 
 @dataclass(frozen=True)
 class FuzzFailure:
@@ -526,9 +530,13 @@ def _check_fastpath(
         # The analysis already explored this NF; reuse its tree so the
         # compiled leg lowers the exact paths the oracle verified.
         comp_parallel.symbex_tree = tree
-        if fault == "skew-kernel":
-            dispatcher = _get_dispatcher(comp_parallel)
-            if dispatcher is not None:
+        dispatcher = _get_dispatcher(comp_parallel)
+        if dispatcher is not None:
+            # Short chunks: a generated trace then spans several, so
+            # state made in one chunk is frozen state in the next (full
+            # tables, memo hits) instead of one cold chunk per trace.
+            dispatcher.chunk = _ORACLE_CHUNK
+            if fault == "skew-kernel":
                 dispatcher.fault = "skew-kernel"
         compiled = run_functional(
             comp_parallel, trace, fastpath=True,

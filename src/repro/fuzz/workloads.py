@@ -197,10 +197,13 @@ def materialize_workload(
         )
     if spec.kind == "exhaust":
         flows = max(spec.n_flows, 2 * (min_capacity or spec.n_flows))
+        # Uniform picks over 2x the capacity see more distinct flows
+        # than the capacity once the trace is 1.4x as long: size it so
+        # per-core shards really fill and then refuse.
         exhausted = WorkloadSpec(
             kind="uniform",
             seed=spec.seed,
-            n_packets=spec.n_packets,
+            n_packets=max(spec.n_packets, 2 * (min_capacity or 0)),
             n_flows=flows,
         )
         return _uniform_like(exhausted, weights=None)

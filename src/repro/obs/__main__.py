@@ -5,6 +5,10 @@ render a *telemetry* series file written by
 :func:`repro.obs.write_telemetry` (e.g. the ``telemetry-report``
 artifacts' sibling series, or anything captured with
 ``obs.telemetry(sink)``).
+
+Exit codes: 0 on success, 2 on a malformed input file
+(:class:`~repro.obs.errors.InputError`, naming the file and the field),
+1 on any other error (a missing file included).
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import argparse
 import json
 import sys
 
+from repro.obs.errors import InputError
 from repro.obs.export import load_telemetry, load_trace, render_prometheus
 from repro.obs.report import render_collector, render_timeline, render_top
 from repro.obs.telemetry import METRICS
@@ -69,6 +74,9 @@ def main(argv: list[str] | None = None) -> int:
             print(render_prometheus(sink), end="")
     except BrokenPipeError:  # e.g. `... report t.jsonl | head`
         return 0
+    except InputError as exc:  # a malformed file: input error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

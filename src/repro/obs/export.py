@@ -29,6 +29,7 @@ import time
 from typing import Any, Iterator, TextIO
 
 from repro.obs.collect import MemoryCollector
+from repro.obs.errors import InputError
 from repro.obs.telemetry import METRICS, TelemetrySink
 from repro.obs.trace import SpanRecord
 
@@ -143,18 +144,34 @@ class JsonlCollector:
 
 
 def read_events(path: str) -> Iterator[dict[str, Any]]:
-    """Yield every event object in a JSONL trace file (meta included)."""
+    """Yield every event object in a JSONL trace file (meta included).
+
+    A line that is not a JSON object, or a file that is not UTF-8 text,
+    raises :class:`~repro.obs.errors.InputError` naming the line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{line_number}: not valid JSONL ({exc})"
-                ) from exc
+        line_number = 0
+        try:
+            for line_number, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    event = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise InputError(
+                        path, f"line {line_number}",
+                        f"not valid JSONL ({exc})",
+                    ) from None
+                if not isinstance(event, dict):
+                    raise InputError(
+                        path, f"line {line_number}", "not a JSON object"
+                    )
+                yield event
+        except UnicodeDecodeError as exc:
+            raise InputError(
+                path, f"line {line_number + 1}", f"not UTF-8 text ({exc})"
+            ) from None
 
 
 def load_trace(path: str) -> MemoryCollector:
@@ -230,7 +247,11 @@ def write_telemetry(
 
 
 def load_telemetry(path: str) -> tuple[TelemetrySink, list[dict[str, Any]]]:
-    """Round-trip of :func:`write_telemetry`: ``(sink, flight_events)``."""
+    """Round-trip of :func:`write_telemetry`: ``(sink, flight_events)``.
+
+    A malformed file raises :class:`~repro.obs.errors.InputError` naming
+    the file and the field (missing file: ``OSError``).
+    """
     meta: dict[str, Any] | None = None
     windows: list[dict[str, Any]] = []
     flight: list[dict[str, Any]] = []
@@ -241,14 +262,22 @@ def load_telemetry(path: str) -> tuple[TelemetrySink, list[dict[str, Any]]]:
         elif kind == "window":
             windows.append(event)
         elif kind == "flight":
-            flight.extend(event.get("events", []))
+            events = event.get("events", [])
+            if not isinstance(events, list):
+                raise InputError(path, "flight.events", "not a list")
+            flight.extend(events)
         else:
-            raise ValueError(f"{path}: unknown telemetry event kind {kind!r}")
+            raise InputError(
+                path, "kind", f"unknown telemetry event kind {kind!r}"
+            )
     if meta is None:
-        raise ValueError(f"{path}: missing telemetry-meta line")
+        raise InputError(path, "telemetry-meta", "missing telemetry-meta line")
     meta = dict(meta)
     meta["windows"] = windows
-    return TelemetrySink.from_dict(meta), flight
+    try:
+        return TelemetrySink.from_dict(meta), flight
+    except InputError as exc:
+        raise exc.within(path) from None
 
 
 def render_prometheus(sink: TelemetrySink, *, prefix: str = "repro") -> str:

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
 from repro.obs.collect import percentile
+from repro.obs.errors import InputError, field_of
 
 __all__ = [
     "METRICS",
@@ -65,6 +66,14 @@ METRICS: tuple[str, ...] = (
 )
 
 _METRIC_INDEX = {name: i for i, name in enumerate(METRICS)}
+
+
+def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """Per-core metric rows, each one int per :data:`METRICS` entry."""
+    out = tuple(tuple(int(v) for v in row) for row in rows)
+    if any(len(row) != len(METRICS) for row in out):
+        raise ValueError(f"a row does not hold {len(METRICS)} metrics")
+    return out
 
 
 @dataclass(frozen=True)
@@ -97,10 +106,10 @@ class Window:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Window":
         return cls(
-            index=int(data["index"]),
-            start_packet=int(data["start_packet"]),
-            end_packet=int(data["end_packet"]),
-            cores=tuple(tuple(int(v) for v in core) for core in data["cores"]),
+            index=field_of(data, "index", int),
+            start_packet=field_of(data, "start_packet", int),
+            end_packet=field_of(data, "end_packet", int),
+            cores=field_of(data, "cores", _int_rows),
         )
 
 
@@ -254,17 +263,26 @@ class TelemetrySink:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TelemetrySink":
-        sink = cls(
-            window_packets=int(data["window_packets"]),
-            max_windows=int(data["max_windows"]),
-            label=data.get("label", ""),
-        )
-        sink.total_packets = int(data["total_packets"])
-        sink._next_index = int(data["windows_recorded"])
-        sink.n_cores = int(data["n_cores"])
-        sink._totals = [[int(v) for v in row] for row in data["totals"]]
-        for raw in data["windows"]:
-            sink.windows.append(Window.from_dict(raw))
+        """Inverse of :meth:`to_dict`; a missing or malformed field
+        raises :class:`~repro.obs.errors.InputError` naming it."""
+        window_packets = field_of(data, "window_packets", int)
+        max_windows = field_of(data, "max_windows", int)
+        try:
+            sink = cls(
+                window_packets, max_windows,
+                field_of(data, "label", str, default=""),
+            )
+        except ValueError as exc:
+            raise InputError(None, "window_packets/max_windows", str(exc))
+        sink.total_packets = field_of(data, "total_packets", int)
+        sink._next_index = field_of(data, "windows_recorded", int)
+        sink.n_cores = field_of(data, "n_cores", int)
+        sink._totals = [list(row) for row in field_of(data, "totals", _int_rows)]
+        for i, raw in enumerate(field_of(data, "windows", list)):
+            try:
+                sink.windows.append(Window.from_dict(raw))
+            except InputError as exc:
+                raise exc.within(prefix=f"windows[{i}].") from None
         return sink
 
 

@@ -15,10 +15,15 @@ once:
   action (port/mods expressions) and applies the paths' state writes as
   scatters (dchain timestamp refreshes, vector slot stores).
 
-Lanes on paths the lowerer cannot express (allocations, sketch paths,
-hash functions) fall back to the packet-at-a-time interpreter, which
-remains the oracle: kernel output is bit-identical to
-:meth:`repro.nf.runtime.ConcreteContext.run`.
+Lanes on paths the lowerer cannot express (successful allocations,
+map writes, sketch paths, hash functions) fall back to the
+packet-at-a-time interpreter, which remains the oracle: kernel output is
+bit-identical to :meth:`repro.nf.runtime.ConcreteContext.run`.
+An allocation lowers only as a read of its outcome, decided per chunk
+against the frozen chain: a chain with no free slot fails every attempt
+(kernel lanes), one with room for every lane of the chunk grants every
+attempt (interpreter lanes), and anything in between stops the program
+at the allocation, as if it were not lowered at all.
 
 Correctness hinges on the *frozen-prefix* discipline.  Classification
 reads pre-chunk state, so a kernel lane is only kept when no interpreter
@@ -46,6 +51,7 @@ only valid against the shard whose state it was computed from.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from itertools import repeat, starmap
 
 import numpy as np
@@ -77,21 +83,25 @@ __all__ = [
 #: Lanes per kernel chunk (also the hazard-analysis horizon).
 DEFAULT_CHUNK = 2048
 #: Stateful ops the lowerer can express as column kernels; any path
-#: containing another op kind (allocation, sketch, hash, ...) runs on
-#: the interpreter.  DESIGN.md §13 documents each rule — kept in sync
-#: by the doc tests.
+#: containing another op kind (map write, sketch, hash, ...) runs on
+#: the interpreter.  ``dchain_allocate`` lowers as a read of its outcome
+#: only (never of the index).  DESIGN.md §13 documents each rule — kept
+#: in sync by the doc tests.
 LOWERED_OPS = (
     "map_get",
     "vector_borrow",
     "dchain_is_allocated",
     "dchain_rejuvenate",
     "vector_put",
+    "dchain_allocate",
 )
 #: Flow ids per port before the port's id table and memo epochs are
 #: dropped wholesale (bounds the memo under endless flow turnover).
 _MEMO_MAX = 65536
 #: Hazard-fixpoint iteration cap; on overrun the whole chunk is demoted.
 _FIXPOINT_MAX = 64
+#: ``_alloc_regime`` sentinel: the chain was not looked at in this domain.
+_UNSET = object()
 
 #: The symbol bindings available before any stateful op runs.
 _BASE_SYMS = frozenset(
@@ -152,8 +162,27 @@ class _VecPut:
         self.sig = ("vector_put", obj, index, stored)
 
 
-def _lower_entry(entry, known, used):
-    """Lower one trace entry into a step, binding its result symbols."""
+class _Alloc:
+    """An allocation's outcome ``ok``, decided per chunk and domain.
+
+    ``cut`` holds the dirt descriptors of the program's suffix from this
+    allocation on, built from the symbols known before it: what the
+    program's lanes publish when the chunk leaves the outcome undecided
+    and the program stops here.
+    """
+
+    __slots__ = ("obj", "ok", "cut", "sig")
+
+    def __init__(self, obj, ok, cut):
+        self.obj = obj
+        self.ok = ok
+        self.cut = cut
+        self.sig = ("dchain_allocate", obj, ok)
+
+
+def _lower_entry(entries, idx, known, used):
+    """Lower ``entries[idx]`` into a step, binding its result symbols."""
+    entry = entries[idx]
     op = entry.op
     if op == "map_get":
         for k in entry.key:
@@ -182,6 +211,14 @@ def _lower_entry(entry, known, used):
         for _, expr in entry.stored:
             check_expr(expr, known, used)
         return _VecPut(entry.obj, entry.key[0], tuple(entry.stored))
+    if op == "dchain_allocate":
+        # Only ``ok`` is bound: a kernel never sees an allocated index,
+        # so anything consuming it stops the lowering there.
+        cut = []
+        _collect_dirt(entries[idx:], known, cut, [])
+        ok = entry.result("ok").name
+        known.add(ok)
+        return _Alloc(entry.obj, ok, tuple(cut))
     raise LowerError(f"cannot lower stateful op {op!r} on {entry.obj!r}")
 
 
@@ -193,6 +230,8 @@ def _step_dirt_aspect(step):
         return "vec_w"
     if isinstance(step, _VecBorrow):
         return "vec_r"
+    if isinstance(step, _Alloc):
+        return "alloc"
     return None
 
 
@@ -331,7 +370,7 @@ def _compile_path(path, pid):
         if not supported:
             break
         try:
-            step = _lower_entry(e, known, used)
+            step = _lower_entry(entries, idx, known, used)
         except LowerError:
             supported = False
             stop = idx
@@ -430,6 +469,8 @@ class _PortProgram:
                     bound = tuple((n, step.sig) for _, n in step.fields)
                 elif isinstance(step, _IsAlloc):
                     bound = ((step.res, step.sig),)
+                elif isinstance(step, _Alloc):
+                    bound = ((step.ok, step.sig),)
                 else:
                     bound = ()
                 for name, sig in bound:
@@ -448,7 +489,7 @@ class _PortProgram:
                     key = (step.obj, "map")
                 elif isinstance(step, _VecBorrow):
                     key = (step.obj, "vec")
-                elif isinstance(step, (_IsAlloc, _Rejuv)):
+                elif isinstance(step, (_IsAlloc, _Rejuv, _Alloc)):
                     key = (step.obj, "chain")
                 else:
                     continue
@@ -663,6 +704,8 @@ class _Epoch:
                 cols.append([np.zeros(cap, np.int64), [None] * cap])
             elif isinstance(step, _VecBorrow):
                 cols.append([np.zeros(cap, np.int64)])
+            elif isinstance(step, _Alloc):
+                cols.append([])  # only failed outcomes are ever memoized
             else:  # _IsAlloc / _Rejuv
                 cols.append(
                     [np.zeros(cap, np.int64), np.zeros(cap, dtype=bool)]
@@ -768,6 +811,17 @@ class CompiledDispatcher:
         self.expire_ports = {
             port: pp.pairs for port, pp in ports.items() if pp.pairs
         }
+        #: Per chain: the most allocations any one path makes on it.
+        self._alloc_max = {}
+        for pp in ports.values():
+            for prog in pp.programs:
+                for obj, n in Counter(
+                    e.obj for e in prog.source_path.trace
+                    if e.op == "dchain_allocate"
+                ).items():
+                    self._alloc_max[obj] = max(self._alloc_max.get(obj, 0), n)
+        self._domain_lanes = 0
+        self._alloc_regime = {}
         self.path_ids = np.zeros(0, dtype=np.int32)
         self._sn = parallel.strategy is Strategy.SHARED_NOTHING
         self._ctxs = [core.ctx for core in parallel.cores]
@@ -916,6 +970,8 @@ class CompiledDispatcher:
     def _run_domain(self, lanes, results, cid):
         ports_l = self._batch.ports[lanes]
         store = self._store_for(cid)
+        self._domain_lanes = lanes.size
+        self._alloc_regime = {}
         groups = []
         board = _DirtBoard()
         for port in np.unique(ports_l):
@@ -1088,6 +1144,10 @@ class CompiledDispatcher:
                     })
                 elif isinstance(step, _VecBorrow):
                     arts.append({"cells": cols[0][slots], "oob": None})
+                elif isinstance(step, _Alloc):
+                    arts.append(
+                        {"ok": np.zeros(slots.size, dtype=bool), "oob": None}
+                    )
                 else:  # _IsAlloc / _Rejuv
                     arts.append({
                         "cells": cols[0][slots],
@@ -1132,6 +1192,8 @@ class CompiledDispatcher:
                         rows[s] = self._stored_row(art, p)
                 elif isinstance(step, _VecBorrow):
                     cols[0][slots] = art["cells"][pos]
+                elif isinstance(step, _Alloc):
+                    pass
                 else:  # _IsAlloc / _Rejuv
                     cols[0][slots] = art["cells"][pos]
                     cols[1][slots] = art["flags"][pos]
@@ -1208,21 +1270,34 @@ class CompiledDispatcher:
     def _eval_program(self, prog, ps, env, cache, step_cache, g, store):
         alive = np.ones(g, dtype=bool)
         force_f = np.zeros(g, dtype=bool)
+        descs = prog.dirt_descs
+        stopped = False
         for tag, x in prog.items:
             if tag == "c":
                 alive = np.logical_and(alive, as_bool(eval_expr(x, env, cache)))
-            else:
-                art = step_cache.get(x.sig)
-                if art is None:
-                    art = self._exec_step(x, env, cache, g, store)
-                    step_cache[x.sig] = art
-                ps.arts.append(art)
-                oob = art.get("oob")
-                if oob is not None:
-                    force_f = force_f | oob
+                if not alive.any():
+                    break  # no lane is on this path: nothing else matters
+                continue
+            if x.__class__ is _Alloc and self._alloc_ok(x.obj, store) is None:
+                # Undecided outcome: the program stops here, exactly as
+                # if the allocation were not lowered.
+                descs = x.cut
+                stopped = True
+                force_f = np.ones(g, dtype=bool)
+                break
+            art = step_cache.get(x.sig)
+            if art is None:
+                art = self._exec_step(x, env, cache, g, store)
+                step_cache[x.sig] = art
+            ps.arts.append(art)
+            oob = art.get("oob")
+            if oob is not None:
+                force_f = force_f | oob
         ps.match = alive
         ps.force_f = force_f
-        for aspect, obj, exprs in prog.dirt_descs:
+        if not alive.any():
+            return
+        for aspect, obj, exprs in descs:
             if exprs is None:
                 ps.dirt_vals.append((aspect, obj, None))
                 continue
@@ -1242,7 +1317,7 @@ class CompiledDispatcher:
                     ps.dirt_vals.append((aspect, obj, cells))
             except (KernelBail, OverflowError):
                 ps.dirt_vals.append((aspect, obj, None))
-        if prog.supported and prog.const_result is None:
+        if prog.supported and prog.const_result is None and not stopped:
             if prog.port_expr is not None:
                 ps.port_vals = _ivals(eval_expr(prog.port_expr, env, cache), g)
             ps.mod_vals = [
@@ -1290,6 +1365,17 @@ class CompiledDispatcher:
             if isinstance(step, _IsAlloc):
                 env[step.res] = Column(flags, 1.0)
             return {"cells": cells, "flags": flags, "oob": None}
+        if isinstance(step, _Alloc):
+            # Decided for the whole domain: a granted allocation must
+            # run on the interpreter (kernels never allocate).
+            if self._alloc_ok(step.obj, store):
+                ok = np.ones(g, dtype=bool)
+                art = {"ok": ok, "oob": ok}
+            else:
+                ok = np.zeros(g, dtype=bool)
+                art = {"ok": ok, "oob": None}
+            env[step.ok] = Column(ok, 1.0)
+            return art
         # _VecPut
         vec = store[step.obj]
         cells = _ivals(eval_expr(step.index, env, cache), g)
@@ -1310,6 +1396,28 @@ class CompiledDispatcher:
             "oob": oob if bool(oob.any()) else None,
             "stored": stored,
         }
+
+    def _alloc_ok(self, obj, store):
+        """Every allocation on chain ``obj`` in the current domain and
+        chunk fails (False), succeeds (True), or either (None).
+
+        Slots are freed only by expiry sweeps and rescale migration,
+        both at chunk boundaries, so a chain with no free slot fails
+        every attempt; one with a free slot for every allocation the
+        domain's lanes can make grants every attempt.
+        """
+        ok = self._alloc_regime.get(obj, _UNSET)
+        if ok is _UNSET:
+            chain = store[obj]
+            free = chain.capacity - chain.allocated_count()
+            if free == 0:
+                ok = False
+            elif free >= self._domain_lanes * self._alloc_max[obj]:
+                ok = True
+            else:
+                ok = None
+            self._alloc_regime[obj] = ok
+        return ok
 
     @staticmethod
     def _value_column(vals, inv):
@@ -1361,6 +1469,12 @@ class CompiledDispatcher:
         for step, art in zip(prog.steps, ps.arts):
             aspect = _step_dirt_aspect(step)
             if aspect is None:
+                continue
+            if aspect == "alloc":
+                # Only a granted allocation writes (a failed one is a
+                # pure read of the full chain).
+                if art["ok"][mask].any():
+                    board.add(aspect, step.obj, None)
                 continue
             cells = art["cells"][mask]
             if aspect == "ts_w":
@@ -1484,6 +1598,11 @@ class CompiledDispatcher:
                     stale = kmask & ~art["flags"]
                     if stale.any():
                         dem = stale if dem is None else (dem | stale)
+            elif isinstance(step, _Alloc):
+                # Kernel lanes exist only on an exhausted chain, where
+                # every allocation in the chunk fails and no lane can
+                # free a slot: no dirt invalidates the outcome.
+                continue
             else:  # _IsAlloc
                 if step.obj in board.alloc:
                     stale = kmask & ~art["flags"]

@@ -56,11 +56,6 @@ def base_symbols() -> frozenset:
         )
     return _BASE_SYMBOLS
 
-#: Ops a lowered step may carry, with the shape of its ``sig`` tail.
-#: Anything else is an unknown kernel and is rejected conservatively.
-_READ_OPS = ("map_get", "vector_borrow", "dchain_is_allocated")
-_WRITE_OPS = ("dchain_rejuvenate", "vector_put")
-
 
 class SymKernelError(Exception):
     """The lowered program is not a well-formed symbolic computation."""
@@ -196,6 +191,14 @@ def _interpret_step(step, bound: set) -> SymStep:
         _check_bound(index, bound, f"dchain_is_allocated({obj!r}) index")
         bound.add(res)
         return SymStep(op, obj, (strip_zext(index),), (res,), (), False)
+    if op == "dchain_allocate":
+        # An allocation lowers as a read of its outcome: no key, and the
+        # tail is every symbol it binds (the certifier expects ``ok``
+        # alone — a kernel must never see the allocated index).  Only
+        # the failed outcome reaches a kernel lane, and it writes nothing.
+        _, obj, *names = sig
+        bound.update(names)
+        return SymStep(op, obj, (), tuple(names), (), False)
     if op == "dchain_rejuvenate":
         _, obj, index = sig
         _check_bound(index, bound, f"dchain_rejuvenate({obj!r}) index")

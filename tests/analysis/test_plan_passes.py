@@ -1,9 +1,9 @@
 """The plan certifier: corpus is green, seeded faults are caught.
 
-Two seeded-fault fixtures mirror the ISSUE's acceptance criteria: a path
-program whose lowered predicate was negated after compilation (MAE300)
-and a port whose memo guard set lost a state version (MAE303).  Both
-tamper with *compiled artifacts* — the certifier must catch the damage
+Seeded-fault fixtures tamper with *compiled artifacts* — a negated
+lowered predicate (MAE300), a memo guard set that lost a state version
+(MAE303), a lowered allocation that binds its index, a dropped chain
+guard or lattice entry — and the certifier must catch the damage
 without re-running the lowering that produced it.
 """
 
@@ -160,6 +160,86 @@ def test_unpublished_bail_dirt_is_flagged_mae302() -> None:
     assert any(
         f.code == "MAE302" and "publish" in f.message for f in findings
     )
+
+
+# ------------------------------------------------------------------ #
+# Seeded faults: the lowered allocation-outcome read
+# ------------------------------------------------------------------ #
+def _alloc_program(pp):
+    """The first fully lowered program carrying a dchain_allocate step
+    (the "table full" path), and that step's index in its steps."""
+    for prog in pp.programs:
+        if not prog.supported:
+            continue
+        for i, step in enumerate(prog.steps):
+            if step.sig[0] == "dchain_allocate":
+                return prog, i
+    raise AssertionError("fixture port must lower an allocation")
+
+
+def test_allocation_binding_its_index_is_flagged_mae300() -> None:
+    """Kernels must never see an allocated index: a lowering that binds
+    ``index`` next to ``ok`` no longer matches the source's binds."""
+    pp = _compile_nf(ALL_NFS["fw"]())
+    prog, i = _alloc_program(pp)
+    step = prog.steps[i]
+    entries = [e for e in prog.source_path.trace if e.op != "expire"]
+    step.sig = step.sig + (entries[i].result("index").name,)
+    findings: list = []
+    assert _certify_program(prog, findings, 0) is False
+    assert {f.code for f in findings} == {"MAE300"}
+    assert any(
+        f.op == "dchain_allocate" and "binds" in f.message for f in findings
+    )
+
+
+def test_dropped_allocation_chain_guard_is_flagged_mae303() -> None:
+    pp = _compile_nf(ALL_NFS["lb"]())
+    prog, i = _alloc_program(pp)
+    chain = prog.steps[i].obj
+    pp.read_objs = [g for g in pp.read_objs if g != (chain, "chain")]
+    findings: list = []
+    _certify_memo(pp, findings)
+    assert {f.code for f in findings} == {"MAE303"}
+    assert any(
+        f.op == "dchain_allocate" and "memo guard set" in f.message
+        for f in findings
+    )
+
+
+def test_missing_allocation_lattice_entry_is_flagged_mae302(
+    monkeypatch,
+) -> None:
+    from repro.analysis import plan_passes
+
+    interference = dict(plan_passes._INTERFERENCE)
+    del interference["dchain_allocate"]
+    monkeypatch.setattr(plan_passes, "_INTERFERENCE", interference)
+    pp = _compile_nf(ALL_NFS["fw"]())
+    findings: list = []
+    _certify_demotion(pp, findings)
+    assert {f.code for f in findings} == {"MAE302"}
+    assert any(
+        f.op == "dchain_allocate" and "interference lattice" in f.message
+        for f in findings
+    )
+
+
+def test_allocation_cut_missing_suffix_dirt_is_flagged_mae301() -> None:
+    """Where a chunk leaves the outcome undecided the program stops at
+    the allocation; its cut must cover every write from there on."""
+    pp = _compile_nf(ALL_NFS["fw"]())
+    prog = next(
+        p for p in pp.programs
+        if not p.supported
+        and any(s.sig[0] == "dchain_allocate" for s in p.steps)
+    )
+    step = next(s for s in prog.steps if s.sig[0] == "dchain_allocate")
+    step.cut = tuple(d for d in step.cut if d[0] != "map_w")
+    findings: list = []
+    assert _certify_program(prog, findings, 0) is False
+    assert {f.code for f in findings} == {"MAE301"}
+    assert any(f.op == "map_put" for f in findings)
 
 
 # ------------------------------------------------------------------ #

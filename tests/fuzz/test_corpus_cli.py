@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import InputError
 from repro.fuzz.__main__ import main
 from repro.fuzz.corpus import (
     CORPUS_FORMAT,
@@ -99,9 +100,51 @@ def test_unknown_corpus_format_rejected(tmp_path) -> None:
         load_corpus(tmp_path)
 
 
+def test_entry_missing_a_field_names_file_and_field(tmp_path) -> None:
+    bad = tmp_path / "bare.json"
+    bad.write_text(json.dumps({"format": CORPUS_FORMAT}))
+    with pytest.raises(InputError) as info:
+        load_corpus(tmp_path)
+    assert info.value.path == str(bad)
+    assert info.value.field == "name"
+
+
+def test_byte_mutated_entries_raise_only_input_errors(tmp_path) -> None:
+    """Seeded byte mutations of the checked-in reproducer either load or
+    raise InputError (JSON syntax, missing and mistyped fields alike)."""
+    import random
+
+    (good_path,) = sorted(CORPUS_DIR.glob("*.json"))
+    good = good_path.read_bytes()
+    target = tmp_path / "mutant.json"
+    rng = random.Random(5)
+    rejected = 0
+    for _ in range(300):
+        data = bytearray(good)
+        for _ in range(rng.randint(1, 4)):
+            data[rng.randrange(len(data))] = rng.choice(
+                b'{}[]":,0123456789abxz-. \x00\xff'
+            )
+        target.write_bytes(bytes(data))
+        try:
+            load_corpus(tmp_path)
+        except InputError as exc:
+            assert exc.path == str(target)
+            rejected += 1
+    assert rejected > 0
+
+
 # ------------------------------------------------------------------ #
 # CLI
 # ------------------------------------------------------------------ #
+def test_cli_malformed_corpus_exits_two(tmp_path, capsys) -> None:
+    (tmp_path / "bare.json").write_text(json.dumps({"format": CORPUS_FORMAT}))
+    assert main(["--corpus", str(tmp_path), "--runs", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "bare.json" in err and "name" in err
+    assert "Traceback" not in err
+
+
 def test_cli_clean_run_exits_zero(tmp_path, capsys) -> None:
     code = main(
         [

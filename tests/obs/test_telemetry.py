@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro import obs
+from repro.errors import InputError
 from repro.obs.__main__ import main as obs_main
 from repro.obs.collect import percentile
 from repro.obs.detect import detect_skew, model_drift
@@ -357,6 +358,53 @@ class TestTelemetryCli:
     def test_missing_file_is_a_clean_error(self, tmp_path, capsys):
         assert obs_main(["top", str(tmp_path / "nope.jsonl")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["top", "timeline", "prom"])
+    def test_malformed_file_exits_two_naming_the_field(
+        self, series_file, command, capsys
+    ):
+        """Fail closed: a meta line without ``window_packets`` is an
+        input error (exit 2) that names the file and the field."""
+        lines = open(series_file).read().splitlines()
+        meta = json.loads(lines[0])
+        del meta["window_packets"]
+        with open(series_file, "w") as fh:
+            fh.write("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
+        with pytest.raises(InputError) as info:
+            obs.load_telemetry(series_file)
+        assert info.value.field == "window_packets"
+        assert info.value.path == series_file
+        assert obs_main([command, series_file]) == 2
+        err = capsys.readouterr().err
+        assert series_file in err and "window_packets" in err
+
+    def test_byte_mutated_files_raise_only_input_errors(self, series_file):
+        """Seeded byte mutations of a valid file either load or raise
+        InputError — never a raw KeyError/TypeError/IndexError, in the
+        loader or in the renderers it feeds."""
+        import random
+
+        good = open(series_file, "rb").read()
+        rng = random.Random(11)
+        outcomes = {"ok": 0, "rejected": 0}
+        for _ in range(200):
+            data = bytearray(good)
+            for _ in range(rng.randint(1, 4)):
+                data[rng.randrange(len(data))] = rng.choice(
+                    b'{}[]":,0123456789abxz-. \x00\xff'
+                )
+            with open(series_file, "wb") as fh:
+                fh.write(bytes(data))
+            try:
+                sink, _ = obs.load_telemetry(series_file)
+            except InputError:
+                outcomes["rejected"] += 1
+                continue
+            obs.render_top(sink)
+            obs.render_timeline(sink)
+            obs.render_prometheus(sink)
+            outcomes["ok"] += 1
+        assert outcomes["rejected"] > 0
 
 
 class TestReportCli:

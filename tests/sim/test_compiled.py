@@ -21,12 +21,14 @@ from repro import obs
 from repro.core.codegen import Strategy
 from repro.core.pipeline import Maestro
 from repro.fuzz.workloads import WorkloadSpec, materialize_workload
+from repro.nf.api import NF, ActionKind, StateDecl, StateKind
 from repro.nf.nfs import ALL_NFS
 from repro.nf.nfs.firewall import Firewall
 from repro.nf.packet import Packet
 from repro.sim.batch import PacketBatch
 from repro.obs.collect import MemoryCollector
 from repro.sim.functional import FlowSteeringCache, run_functional
+from repro.symbex.lower import LowerError
 
 CORPUS = sorted(ALL_NFS)
 
@@ -322,6 +324,275 @@ class TestFlowIdMemo:
                 )
         assert owners
         assert all(len(flows) == 1 for flows in owners.values())
+
+
+def build_three(factory, n_cores=4, seed=7):
+    """Reference, compiled and ``kernels=False`` builds of one NF, all
+    off one analysis (so all three steer with the same keys)."""
+    maestro = Maestro(seed=seed)
+    result = maestro.analyze(factory())
+    return [
+        maestro.parallelize(factory(), n_cores=n_cores, result=result)
+        for _ in range(3)
+    ]
+
+
+def run_three(pars, trace, caches=None):
+    """One call through the reference, the kernels and the interpreter
+    fast path; all three must agree bit for bit.  Returns the compiled
+    run."""
+    par_ref, par_comp, par_fast = pars
+    cache = caches[0] if caches else None
+    run_ref = run_functional(par_ref, list(trace), fastpath=False)
+    run_comp = run_functional(par_comp, list(trace), flow_cache=cache)
+    run_fast = run_functional(par_fast, list(trace), kernels=False)
+    assert_runs_identical(run_ref, run_comp, par_ref, par_comp)
+    assert_runs_identical(run_ref, run_fast, par_ref, par_fast)
+    return run_comp
+
+
+def alloc_pids(par):
+    """Path ids of the supported programs that allocate (the lowered
+    "table full" paths)."""
+    disp = compiled.compile_parallel(par)
+    return sorted(
+        prog.pid
+        for pp in disp.ports.values()
+        for prog in pp.programs
+        if prog.supported
+        and any(isinstance(step, compiled._Alloc) for step in prog.steps)
+    )
+
+
+class _AllocOnlyNF(NF):
+    """Allocates without storing the index, so its granted paths lower
+    fully.  A LAN packet allocates twice (``_alloc_max`` must count both
+    attempts); a source refused at its first attempt is remembered in a
+    map that both ports read, so a wrongly decided outcome would hide
+    that write from the kernel lanes."""
+
+    name = "alloc_only"
+    ports = {"lan": 0, "wan": 1}
+
+    def state(self):
+        return [
+            StateDecl("ao_chain", StateKind.DCHAIN, 64),
+            StateDecl("ao_refused", StateKind.MAP, 256),
+        ]
+
+    def process(self, ctx, port, pkt):
+        if port == 0:
+            refused, _ = ctx.map_get("ao_refused", (pkt.src_ip,))
+            if ctx.cond(refused):
+                ctx.drop()
+            ok, _ = ctx.dchain_allocate("ao_chain")
+            if ctx.cond(ctx.lnot(ok)):
+                ctx.map_put("ao_refused", (pkt.src_ip,), 1)
+                ctx.drop()
+            ok, _ = ctx.dchain_allocate("ao_chain")
+            if ctx.cond(ok):
+                ctx.forward(1)
+            ctx.drop()
+        found, _ = ctx.map_get("ao_refused", (pkt.dst_ip,))
+        if ctx.cond(found):
+            ctx.drop()
+        ctx.forward(0)
+
+
+class TestAllocationOutcome:
+    """``dchain_allocate`` lowers as a read of its outcome, decided per
+    chunk and domain: exhausted chains fail every lane (kernel lanes),
+    roomy chains grant every lane (interpreter lanes), anything else
+    stops the program at the allocation as if it were not lowered."""
+
+    def test_exhausted_lb_backend_table(self, generator):
+        """lb's "backend table full" LAN path and the WAN lanes it used
+        to demote run on kernels once its 64 backends are registered
+        (120 sources heartbeat on the LAN port)."""
+        pars = build_three(ALL_NFS["lb"])
+        full = alloc_pids(pars[1])
+        assert full
+        cache = FlowSteeringCache(pars[1].rss)
+        base, _ = generator.uniform_trace(
+            1500, 120, in_port=0, reply_port=1, reply_fraction=0.3
+        )
+        runs = [
+            run_three(pars, shifted(base, 0.1 * call), [cache])
+            for call in range(3)
+        ]
+        last = runs[-1]
+        assert np.isin(last.compiled_path_ids, full).any()
+        assert last.compiled["coverage"] > 0.95
+        assert pars[1]._compiled_dispatcher.memo_hits > 0
+
+    @pytest.mark.parametrize("name", ["fw", "nat"])
+    def test_exhausted_flow_table(self, generator, name):
+        """fw forwards and nat drops on a full table; both now do it on
+        kernels."""
+        factory = {
+            "fw": lambda: Firewall(capacity=64),
+            "nat": lambda: ALL_NFS["nat"](capacity=64),
+        }[name]
+        pars = build_three(factory)
+        full = alloc_pids(pars[1])
+        assert full
+        base, _ = generator.uniform_trace(
+            1200, 150, in_port=0, reply_port=1, reply_fraction=0.3
+        )
+        runs = [run_three(pars, shifted(base, 0.1 * c)) for c in range(3)]
+        assert np.isin(runs[-1].compiled_path_ids, full).any()
+        if name == "nat":
+            drops = runs[-1].action_counts().get(ActionKind.DROP, 0)
+            assert drops > 0
+
+    def test_boundary_sweep_frees_an_exhausted_chain(self, generator):
+        """A chain is full for three calls, then the expiry sweep at the
+        next call's first chunk frees slots: the memoized "full"
+        classification must not outlive the ``alloc_version`` bump."""
+        pars = build_three(
+            lambda: Firewall(capacity=4, expiration_time=2.0), n_cores=1
+        )
+        full = alloc_pids(pars[1])
+        holders, waiting = generator.make_flows(4), generator.make_flows(2)
+        calls = [
+            generator.trace(40, holders),
+            shifted(generator.trace(40, waiting + holders), 0.5),
+            shifted(generator.trace(40, waiting), 0.9),
+            shifted(generator.trace(40, waiting), 3.0),
+        ]
+        cache = FlowSteeringCache(pars[1].rss)
+        runs = [run_three(pars, trace, [cache]) for trace in calls]
+        disp = pars[1]._compiled_dispatcher
+        # Calls 2 and 3: the waiting flows hit the full table on kernels,
+        # from the memo by call 3.
+        assert np.isin(runs[1].compiled_path_ids, full).any()
+        assert np.isin(runs[2].compiled_path_ids, full).all()
+        assert disp.memo_hits > 0
+        # Call 4: the sweep freed the holders' slots; the waiting flows
+        # allocate on the interpreter instead of replaying "full".
+        assert not np.isin(runs[3].compiled_path_ids, full).any()
+        assert any(r.new_flow for _, r in runs[3].results)
+
+    def test_roomy_then_undecided_then_exhausted(self, generator):
+        """``ok=True`` lanes never run on a kernel, even on a fully
+        lowered path.  Then a chunk with a free slot per lane but not
+        per attempt: the outcome is undecided, and the refusals it makes
+        must still demote the WAN lanes that read them."""
+        pars = build_three(_AllocOnlyNF, n_cores=1)
+        granted = [
+            prog.pid
+            for prog in compiled.compile_parallel(pars[1]).ports[0].programs
+            if prog.supported and prog.kind is ActionKind.FORWARD
+        ]
+        assert granted
+        flows = generator.make_flows(40)
+        clock = iter(np.arange(1000) * 1e-6)
+
+        def lan(i):
+            return (0, flows[i].packet(64, next(clock)))
+
+        def wan(i):
+            return (1, flows[i].inverted().packet(64, next(clock)))
+
+        # 64 free slots, 10 lanes of at most 2 attempts: all granted.
+        run = run_three(pars, [lan(i) for i in range(10)])
+        assert (run.compiled_path_ids == -1).all()
+        assert all(r.new_flow for _, r in run.results)
+        # 44 free slots for 44 lanes, 30 of which want 2: flows 32-39
+        # are refused, and their replies later in the chunk must drop.
+        run = run_three(
+            pars,
+            [lan(i) for i in range(10, 40)]
+            + [wan(32 + i % 8) for i in range(14)],
+        )
+        assert run.action_counts()[ActionKind.DROP] >= 14
+        # Exhausted: no LAN lane is granted, WAN lanes run on kernels.
+        run = run_three(
+            pars,
+            [lan(i) for i in range(20)] + [wan(20 + i) for i in range(20)],
+        )
+        assert not np.isin(run.compiled_path_ids, granted).any()
+        assert (run.compiled_path_ids[20:] >= 0).any()
+
+    @pytest.mark.parametrize("capacity", [150, 60000])
+    def test_allocations_demote_stale_flag_reads(self, generator, capacity):
+        """nat replies to the external ports that new flows earlier in
+        the same chunk allocate: whether the chain has room for every
+        lane (60000) or not (150), the granted allocations must demote
+        the replies' frozen "not allocated" flag reads."""
+        pars = build_three(
+            lambda: ALL_NFS["nat"](capacity=capacity), n_cores=1
+        )
+        flows = generator.make_flows(100)
+        forward = [(0, f.packet(64, i * 1e-6)) for i, f in enumerate(flows)]
+        replies = [
+            (1, Packet(
+                src_ip=f.dst_ip, dst_ip=1, src_port=f.dst_port,
+                dst_port=1024 + i, proto=f.proto, timestamp=(100 + i) * 1e-6,
+            ))
+            for i, f in enumerate(flows)
+        ]
+        run = run_three(pars, forward + replies)
+        assert run.action_counts()[ActionKind.FORWARD] == 200
+
+    def test_undecided_chain_matches_the_unlowered_allocation(
+        self, generator, monkeypatch
+    ):
+        """More lanes than free slots: every program stops at its
+        allocation, so per-lane path ids equal those of a dispatcher
+        built without lowering ``dchain_allocate`` at all."""
+        base, _ = generator.uniform_trace(
+            1500, 300, in_port=0, reply_port=1, reply_fraction=0.3
+        )
+        calls = [shifted(base, 0.1 * c) for c in range(3)]
+
+        def path_ids(par):
+            cache = FlowSteeringCache(par.rss)
+            return [
+                run_functional(par, trace, flow_cache=cache)
+                .compiled_path_ids.copy()
+                for trace in calls
+            ]
+
+        # 1024 slots per core: never full, never room for a whole chunk.
+        factory = lambda: Firewall(capacity=1024)  # noqa: E731
+        pars = build_three(factory, n_cores=1)
+        run_three(pars, calls[0])
+        lowered = path_ids(build_three(factory, n_cores=1)[1])
+
+        real = compiled._lower_entry
+
+        def unlowered(entries, idx, known, used):
+            if entries[idx].op == "dchain_allocate":
+                raise LowerError("allocation not lowered")
+            return real(entries, idx, known, used)
+
+        monkeypatch.setattr(compiled, "_lower_entry", unlowered)
+        parent = path_ids(build_three(factory, n_cores=1)[1])
+        for a, b in zip(lowered, parent):
+            assert np.array_equal(a, b)
+        assert any((a >= 0).any() for a in lowered)
+
+    def test_rescale_with_exhausted_chains(self, generator):
+        """A mid-trace grow and shrink while every shard's table is full
+        (lb's LOCKS verdict rules out rescaling it, so fw stands in)."""
+        from repro.scale import RescaleEvent, enable_elastic, run_elastic
+
+        base, _ = generator.uniform_trace(
+            900, 200, in_port=0, reply_port=1, reply_fraction=0.3
+        )
+        trace = base + shifted(base, 0.1)
+        events = [RescaleEvent(700, 8), RescaleEvent(1300, 3)]
+        runs = []
+        for fastpath, kernels in ((False, False), (True, False), (True, True)):
+            par = build_three(lambda: Firewall(capacity=64))[0]
+            enable_elastic(par)
+            out = run_elastic(
+                par, trace, events, fastpath=fastpath, kernels=kernels
+            )
+            runs.append((list(out.results), out.run.core_ids.copy()))
+        assert runs[0][0] == runs[1][0] == runs[2][0]
+        assert np.array_equal(runs[0][1], runs[2][1])
 
 
 @settings(max_examples=200, deadline=None)
